@@ -1,7 +1,7 @@
 """The traced run (``--trace 1``): per-layer metrics of one campaign's grid.
 
-For the first campaign of the run (the same seeds a timed run starts
-with) it makes:
+For the scenario seeds a timed run with the same ``--seed`` uses, it
+makes:
 
 1. the workload's own campaign, untraced -- the ``sweep.*`` and
    ``serve.*`` figures come from the records it returns;
@@ -76,7 +76,8 @@ def hooked_serve(w, seeds, work: Path):
         TimeoutExpired=subprocess.TimeoutExpired,
     )
     try:
-        camp = tracer.run(wl.run_serve, w.grid, seeds, work / "hooked.sqlite", wl.nproc())
+        camp = tracer.run(wl.run_serve, w.grid, seeds, work / "hooked.sqlite",
+                          wl.serve_workers())
     finally:
         service.subprocess = subprocess
         tracer.uninstall()
@@ -126,9 +127,9 @@ def compare_counts(name: str, counts: dict[str, int]) -> str:
     return f"all {len(counts)} repeat the previous traced run exactly"
 
 
-def traced_run(w, seed: int, seconds: int) -> dict:
-    seeds = w.seed_sets(seed, seconds)[0]
-    real = wl.execute(w, [seeds])
+def traced_run(w, seed: int) -> dict:
+    seeds = w.seed_set(seed)
+    real = wl.execute(w, seeds, 0, min_campaigns=1)
     rec = real.campaigns[0]
     if rec.error is not None:
         raise SystemExit("perfbench: the untraced campaign failed")

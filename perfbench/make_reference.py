@@ -1,13 +1,13 @@
 """Write the reference digests the benchmark checks every cell against.
 
-    python3 perfbench/make_reference.py --grid paper_grid --seeds 0-19
+    python3 perfbench/make_reference.py --grid paper_grid --seeds 0-29
 
-For every benchmark seed in the range, takes the scenario seeds of every
-campaign that a ``--seconds 30`` run of each workload on *grid* makes,
-runs the cells whose digest is missing serially in-process, and adds
-their digests to ``perfbench/reference/<grid>.json``.  Run it only at a
-commit whose outputs are known good: the file is the benchmark's record
-of correct output.
+For every benchmark seed in the range, takes the scenario seeds that a
+run of each workload on *grid* uses, runs the cells whose digest is
+missing serially in-process, and adds their digests to
+``perfbench/reference/<grid>.json``.  Run it only at a commit whose
+outputs are known good: the file is the benchmark's record of correct
+output.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ def main() -> int:
     todo: list[int] = []
     for seed in range(first, last + 1):
         for w in users:
-            for seeds in w.seed_sets(seed, wl.NOMINAL_SECONDS):
-                todo += [s for s in seeds if s not in todo and any(
-                    wl.cell_key(s, p, proto) not in cells
-                    for p in range(n_points) for proto in protocols)]
+            todo += [s for s in w.seed_set(seed) if s not in todo and any(
+                wl.cell_key(s, p, proto) not in cells
+                for p in range(n_points) for proto in protocols)]
     for i in range(0, len(todo), 8):
         cells.update(wl.serial_digests(args.grid, todo[i:i + 8]))
         print(f"{args.grid}: {min(i + 8, len(todo))} of {len(todo)} scenario seeds", flush=True)

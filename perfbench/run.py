@@ -31,7 +31,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 
-#: Fresh interpreters timed per run for the import share of ``setup_s``.
+#: Fresh interpreters timed per run, at least, for the import share of
+#: ``setup_s``: one after every campaign, topped up to this many.
 IMPORT_SAMPLES = 5
 
 
@@ -49,17 +50,14 @@ def _use_checkout_source() -> None:
         sys.exit(f"perfbench: imported repro from {repro.__file__}, not {SRC}")
 
 
-def import_seconds(module: str) -> list[float]:
-    """Process start to ``import repro`` (plus *module*) done, in fresh
-    interpreters: the part of set-up every campaign process pays."""
+def import_seconds(module: str) -> float:
+    """Process start to ``import repro`` (plus *module*) done, in a fresh
+    interpreter: the part of set-up every campaign process pays."""
     code = f"import time, repro, {module}; print(repr(time.time()))"
-    samples = []
-    for _ in range(IMPORT_SAMPLES):
-        t0 = time.time()
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, cwd=ROOT, timeout=60)
-        samples.append(float(out.stdout.strip().splitlines()[-1]) - t0)
-    return samples
+    t0 = time.time()
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=ROOT, timeout=60)
+    return float(out.stdout.strip().splitlines()[-1]) - t0
 
 
 def peak_rss_mb() -> float:
@@ -105,11 +103,32 @@ def simulated(camps, grid: str) -> tuple[float, float]:
 
 
 def timed_run(w, seed: int, seconds: int) -> dict:
+    """Campaigns of *w* back to back for *seconds*; the end-to-end metrics.
+
+    The host's speed drifts by tens of percent within seconds, so
+    ``campaign_s`` is the mean over the run's campaigns, which moves
+    smoothly with the share of the run spent slow; a median over a few
+    campaigns would jump between the fast and the slow speed.  The cell
+    percentiles are taken over every cell the run computed.
+    """
     import workloads as wl
 
     module = "repro.serve" if w.name == "serve_store" else "repro.experiments.sweep"
-    imports = import_seconds(module)
-    run = wl.execute(w, w.seed_sets(seed, seconds))
+    imports: list[float] = []
+    #: Peak RSS as of the end of the first campaign: what one campaign from
+    #: a fresh process needs.  Later campaigns leave the heap a little more
+    #: fragmented each, so the peak of the whole run would grow with the
+    #: number of campaigns, that is with the host's speed.
+    rss: list[float] = []
+
+    def between():
+        if not rss:
+            rss.append(peak_rss_mb())
+        imports.append(import_seconds(module))
+
+    run = wl.execute(w, w.seed_set(seed), seconds, between=between)
+    while len(imports) < IMPORT_SAMPLES:
+        imports.append(import_seconds(module))
     done = [c for c in run.campaigns if c.error is None]
     if not done:
         raise SystemExit("perfbench: every campaign failed")
@@ -117,24 +136,26 @@ def timed_run(w, seed: int, seconds: int) -> dict:
     slots, sim_s = simulated(done, w.grid)
     tail_s, tail_label = tail(cells)
     metrics = {
-        "campaign_s": (statistics.median(c.wall_s for c in done), "s"),
+        "campaign_s": (statistics.fmean(c.wall_s for c in done), "s"),
         "simulate_slots_per_s": (slots / sim_s, "slots/s"),
         "cell_p50_s": (statistics.median(cells), "s"),
         "cell_tail_s": (tail_s, "s"),
         "setup_s": (statistics.median(imports)
                     + statistics.median(c.setup_s for c in done), "s"),
-        "peak_rss_mb": (peak_rss_mb(), "MB"),
+        "peak_rss_mb": (rss[0], "MB"),
     }
     checked = run.campaigns + run.replays
     attempted, failed, notes = wl.check_outputs(checked, w.grid)
     print(f"workload {w.name}  seed {seed}  campaigns {len(run.campaigns)}  "
           f"computed cells {len(cells)}")
+    print("  campaign walls " + " ".join(f"{c.wall_s:.3f}" for c in done) + " s")
     for name, (value, unit) in metrics.items():
         print(f"  {name:22s} {value:14.6g} {unit}")
     print(f"  {'cell_error_rate':22s} {failed / attempted:14.6g} ratio "
           f"({failed} of {attempted} cells failed)")
     print(f"  cell_tail_s is the {tail_label}; "
-          f"setup_s = import {statistics.median(imports):.4f} s + campaign set-up")
+          f"setup_s = import {statistics.median(imports):.4f} s (median of {len(imports)}) "
+          "+ campaign set-up")
     for note in notes:
         print(f"  check: {note}")
     return {
@@ -161,7 +182,7 @@ def main(argv=None) -> int:
     if args.trace:
         import layers
 
-        out = layers.traced_run(w, args.seed, args.seconds)
+        out = layers.traced_run(w, args.seed)
     else:
         out = timed_run(w, args.seed, args.seconds)
     print(json.dumps(out))

@@ -3,9 +3,10 @@
 Each workload is a grid of cells -- one cell is one (point, protocol,
 seed) simulation, the results store's unit -- run through a public
 campaign entry point (``repro.sweep`` or ``repro.serve.serve_campaign``).
-A benchmark run executes a fixed number of campaigns of one workload and
-keeps, per campaign, what its records already say (the merged
-``SweepResult``) plus the host time of every computed cell.
+A benchmark run draws one set of scenario seeds from its ``--seed`` and
+runs campaigns of that grid back to back for ``--seconds``; per campaign
+it keeps what its records already say (the merged ``SweepResult``) plus
+the host time of every computed cell.
 
 Cell host time runs from ``JobResult.started_at`` (taken by ``run_job``
 before the world build) to the moment ``run_job`` returned.  The end is
@@ -36,13 +37,19 @@ SRC = ROOT / "src"
 WORK = ROOT / ".bench_build" / "perfbench"
 REFERENCE = Path(__file__).resolve().parent / "reference"
 
-#: Campaigns of one run are sized for this many seconds on a 2-core host;
-#: ``--seconds`` scales the number of campaigns proportionally.
-NOMINAL_SECONDS = 30
+#: A timed run makes at least this many campaigns, however long they take.
+MIN_CAMPAIGNS = 3
 
 
 def nproc() -> int:
     return max(1, len(os.sched_getaffinity(0)))
+
+
+def serve_workers() -> int:
+    """Workers a serve campaign spawns: the coordinator holds a store
+    connection and polls too, so with it at most ``nproc`` processes hold
+    work or store connections."""
+    return max(1, nproc() - 1)
 
 
 # --------------------------------------------------------------------------
@@ -55,36 +62,22 @@ class Workload:
     name: str
     #: Names the sweep points and the reference-digest file.
     grid: str
-    #: Campaigns per run at NOMINAL_SECONDS.
-    reps: int
     #: Scenario seeds per campaign.
     seeds_per_campaign: int
-    #: Draw new scenario seeds for every campaign (grids whose cost depends
-    #: on the seed), or repeat one seed set (cheap-cell grids).
-    fresh_seeds: bool
 
-    def campaigns(self, seconds: int) -> int:
-        return max(1, round(self.reps * seconds / NOMINAL_SECONDS))
-
-    def seed_sets(self, seed: int, seconds: int) -> list[tuple[int, ...]]:
-        """Scenario seeds of every campaign of a run, drawn from *seed*."""
+    def seed_set(self, seed: int) -> tuple[int, ...]:
+        """The scenario seeds every campaign of a run with *seed* uses."""
         rng = random.Random(f"{self.grid}:{seed}")
-        n = self.campaigns(seconds)
-        draw = lambda: tuple(rng.randrange(1, 2**31) for _ in range(self.seeds_per_campaign))
-        if self.fresh_seeds:
-            return [draw() for _ in range(n)]
-        return [draw()] * n
+        return tuple(rng.randrange(1, 2**31) for _ in range(self.seeds_per_campaign))
 
 
 #: Why each workload exists is in BENCHMARK.json and README.md.
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("paper_grid", "paper_grid", reps=4, seeds_per_campaign=4, fresh_seeds=True),
-        Workload("sparse_longrun", "sparse_longrun", reps=12, seeds_per_campaign=2,
-                 fresh_seeds=True),
-        Workload("serve_store", "small_grid", reps=9, seeds_per_campaign=50,
-                 fresh_seeds=False),
+        Workload("paper_grid", "paper_grid", seeds_per_campaign=16),
+        Workload("sparse_longrun", "sparse_longrun", seeds_per_campaign=8),
+        Workload("serve_store", "small_grid", seeds_per_campaign=50),
     )
 }
 
@@ -97,8 +90,8 @@ def points(grid: str):
     base = SimulationSettings()
     if grid == "paper_grid":
         # Table-2 defaults; the horizon is cut from 10k slots so that one
-        # campaign takes seconds, not minutes.
-        return [base.with_(n_nodes=n, horizon=1500) for n in (40, 100, 140)]
+        # campaign of many seeds takes seconds, not minutes.
+        return [base.with_(n_nodes=n, horizon=750) for n in (40, 100, 140)]
     if grid == "sparse_longrun":
         cw = ContentionParams(cw_min=1024, cw_max=1024)
         return [base.with_(horizon=200_000, message_rate=2e-5, contention=cw)]
@@ -400,21 +393,36 @@ def attempt(seeds, fn, *args) -> Campaign:
     return camp
 
 
-def execute(w: Workload, seed_sets) -> Run:
-    """Run one campaign of workload *w* per entry of *seed_sets*."""
+def execute(w: Workload, seeds, seconds: float, min_campaigns: int = MIN_CAMPAIGNS,
+            between=None) -> Run:
+    """Run campaigns of workload *w* on scenario *seeds* back to back.
+
+    Campaigns start while the run is expected to end within *seconds*
+    (judged by the mean time per campaign so far), and at least
+    *min_campaigns* of them.  *between*, if given, is called after every
+    campaign, outside the campaign's time.
+    """
     work = fresh_dir(w.name)
+    run = Run([])
+    t0 = time.perf_counter()
     try:
-        if w.name == "paper_grid":
-            return Run([attempt(s, run_pool, w.grid, s, nproc()) for s in seed_sets])
-        if w.name == "sparse_longrun":
-            return Run([attempt(s, run_pool, w.grid, s, 1) for s in seed_sets])
-        if w.name == "serve_store":
-            run = Run([])
-            for i, s in enumerate(seed_sets):
+        while True:
+            i = len(run.campaigns)
+            if w.name == "paper_grid":
+                run.campaigns.append(attempt(seeds, run_pool, w.grid, seeds, nproc()))
+            elif w.name == "sparse_longrun":
+                run.campaigns.append(attempt(seeds, run_pool, w.grid, seeds, 1))
+            elif w.name == "serve_store":
                 store = work / f"c{i}.sqlite"
-                run.campaigns.append(attempt(s, run_serve, w.grid, s, store, nproc()))
-                run.replays.append(attempt(s, run_replay, w.grid, s, store))
-            return run
-        raise KeyError(w.name)
+                run.campaigns.append(attempt(seeds, run_serve, w.grid, seeds, store,
+                                             serve_workers()))
+                run.replays.append(attempt(seeds, run_replay, w.grid, seeds, store))
+            else:
+                raise KeyError(w.name)
+            if between is not None:
+                between()
+            n = i + 1
+            if n >= min_campaigns and (time.perf_counter() - t0) * (n + 1) / n > seconds:
+                return run
     finally:
         shutil.rmtree(work, ignore_errors=True)
