@@ -91,7 +91,7 @@ def test_sweep_engine_serial_throughput(benchmark):
     """A small grid through the engine in-process: pins the overhead of
     job planning + world caching on top of the raw runs."""
     from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep
+    from repro.experiments.sweep import sweep
 
     points = [
         SimulationSettings(n_nodes=50, horizon=2000),
@@ -100,7 +100,7 @@ def test_sweep_engine_serial_throughput(benchmark):
     scenario = Scenario(settings=points[0], protocols=("BMMM", "LAMM"), seeds=(0, 1))
 
     def run():
-        return run_sweep(scenario, points, processes=1)
+        return sweep(scenario, points, processes=1)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     # Caching must have kicked in: the second protocol of every
@@ -112,7 +112,7 @@ def test_sweep_engine_serial_throughput(benchmark):
 def test_sweep_engine_pooled_throughput(benchmark):
     """Same grid through the long-lived pool (bit-identical, less wall)."""
     from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep
+    from repro.experiments.sweep import sweep
 
     points = [
         SimulationSettings(n_nodes=50, horizon=2000),
@@ -121,7 +121,7 @@ def test_sweep_engine_pooled_throughput(benchmark):
     scenario = Scenario(settings=points[0], protocols=("BMMM", "LAMM"), seeds=(0, 1))
 
     def run():
-        return run_sweep(scenario, points, processes=2)
+        return sweep(scenario, points, processes=2)
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.processes == 2

@@ -347,7 +347,7 @@ def _sweep_main(argv: list[str]) -> int:
 
     from repro.experiments.figures import DENSITY_SWEEP_NODES, RATE_SWEEP, TIMEOUT_SWEEP
     from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep, save_bench, sweep_manifest
+    from repro.experiments.sweep import save_bench, sweep, sweep_manifest
 
     args = build_sweep_parser().parse_args(argv)
     field, parse = _SWEEP_AXES[args.axis]
@@ -366,7 +366,7 @@ def _sweep_main(argv: list[str]) -> int:
     scenario = Scenario(
         settings=base, protocols=tuple(protocols), seeds=tuple(range(args.seeds))
     )
-    result = run_sweep(
+    result = sweep(
         scenario,
         points,
         processes=args.jobs or None,
@@ -642,7 +642,7 @@ def _faults_main(argv: list[str]) -> int:
 
     from repro.experiments.degradation import FAULT_AXES, degradation_points, fault_plan_for
     from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep, save_bench, sweep_manifest
+    from repro.experiments.sweep import save_bench, sweep, sweep_manifest
     from repro.faults import FaultPlan
 
     args = build_faults_parser().parse_args(argv)
@@ -675,7 +675,7 @@ def _faults_main(argv: list[str]) -> int:
     scenario = Scenario(
         settings=base, protocols=tuple(protocols), seeds=tuple(range(args.seeds))
     )
-    result = run_sweep(
+    result = sweep(
         scenario,
         points,
         processes=args.jobs or None,
@@ -1137,7 +1137,7 @@ def _serve_main(argv: list[str]) -> int:
 
     from repro.experiments.figures import DENSITY_SWEEP_NODES, RATE_SWEEP, TIMEOUT_SWEEP
     from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep, save_bench, sweep_manifest
+    from repro.experiments.sweep import save_bench, sweep, sweep_manifest
     from repro.serve.service import ServeBackend
 
     args = build_serve_parser().parse_args(argv)
@@ -1166,7 +1166,7 @@ def _serve_main(argv: list[str]) -> int:
         wait_timeout=args.wait_timeout,
         worker_dir=args.worker_dir,
     )
-    result = run_sweep(
+    result = sweep(
         scenario,
         points,
         store=args.store,

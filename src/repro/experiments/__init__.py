@@ -5,14 +5,13 @@ from repro.experiments.degradation import degradation_points, degradation_study
 from repro.experiments.runner import (
     MeanMetrics,
     RawRun,
-    compare,
     run,
     run_once,
     run_protocol,
     run_raw,
 )
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import SweepResult, run_sweep, sweep
+from repro.experiments.sweep import SweepResult, sweep
 from repro.experiments.figures import (
     FigureResult,
     figure2,
@@ -40,9 +39,7 @@ __all__ = [
     "run",
     "run_once",
     "run_protocol",
-    "compare",
     "SweepResult",
-    "run_sweep",
     "sweep",
     "degradation_points",
     "degradation_study",

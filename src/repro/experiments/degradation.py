@@ -22,7 +22,7 @@ from typing import Sequence
 
 from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import SweepResult, run_sweep
+from repro.experiments.sweep import SweepResult, sweep
 from repro.faults.plan import FaultPlan, GilbertElliott, NodeChurn
 
 __all__ = [
@@ -128,4 +128,4 @@ def degradation_study(
         stationary_loss=stationary_loss,
         mean_downtime=mean_downtime,
     )
-    return run_sweep(scenario, points, processes=processes)
+    return sweep(scenario, points, processes=processes)

@@ -209,13 +209,13 @@ def _sweep(
     from the same runs and stored under ``meta["extra"][metric_name]``
     (same {protocol: [values]} layout) -- used by benchmarks that want a
     companion metric without re-simulating.  The whole grid runs through
-    :func:`repro.experiments.sweep.run_sweep`: one long-lived pool when
+    :func:`repro.experiments.sweep.sweep`: one long-lived pool when
     *processes* > 1, shared topology/schedule builds across the protocols
     of each (point, seed) cell either way -- results are bit-identical to
     per-run serial execution (tested).
     """
     from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep
+    from repro.experiments.sweep import sweep
 
     if protocols is None:
         protocols = paper_protocols()
@@ -223,7 +223,7 @@ def _sweep(
     scenario = Scenario(
         settings=settings_list[0], protocols=tuple(protocols), seeds=tuple(seeds)
     )
-    result = run_sweep(scenario, list(settings_list), processes=processes)
+    result = sweep(scenario, list(settings_list), processes=processes)
     series: dict[str, list[float]] = {p: [] for p in protocols}
     extra: dict[str, dict[str, list[float]]] = {
         m: {p: [] for p in protocols} for m in extra_metrics

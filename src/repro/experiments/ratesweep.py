@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from repro.experiments.config import SimulationSettings
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import SweepResult, run_sweep
+from repro.experiments.sweep import SweepResult, sweep
 from repro.phy.profile import PhyProfile
 from repro.store.digests import code_fingerprint, git_commit
 
@@ -73,7 +73,7 @@ def run_rate_sweep(
     names = list(profiles)
     points = [base.with_(phy=profiles[n]) for n in names]
     scenario = Scenario(settings=base, protocols=tuple(protocols), seeds=tuple(seeds))
-    result = run_sweep(
+    result = sweep(
         scenario,
         points,
         processes=processes,

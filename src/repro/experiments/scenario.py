@@ -1,13 +1,9 @@
 """The unified experiment surface: one frozen :class:`Scenario` object.
 
-Historically ``run_once`` / ``run_protocol`` / ``compare`` / ``run_sweep``
-each grew their own positional/keyword mix (MAC classes here, registry
-names there, seeds as an int, an iterable, or implied).  A
-:class:`Scenario` bundles the three things every entry point actually
+A :class:`Scenario` bundles the three things every experiment entry point
 needs — settings (including the fault plan), protocol names and seeds —
-and is accepted uniformly by all of them, plus the canonical
-:func:`repro.run` / :func:`repro.sweep` wrappers.  The old signatures
-still work for one release behind :class:`DeprecationWarning` shims.
+and is the one argument :func:`repro.run`, :func:`repro.sweep`,
+``run_once`` and ``run_protocol`` take.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ class Scenario:
     """What to simulate: settings + protocols + seeds (+ scoring threshold).
 
     Accepted by every experiment entry point (``run``, ``run_once``,
-    ``run_protocol``, ``compare``, ``sweep``).  Frozen and normalised:
+    ``run_protocol``, ``sweep``).  Frozen and normalised:
     ``protocols`` accepts a single name or an iterable of registry names,
     ``seeds`` a single int or any iterable of ints (e.g. ``range(100)``
     for the paper's "means of 100 runs").

@@ -1,12 +1,8 @@
 """The sweep engine: protocols x points x seeds through one process pool.
 
 The paper's evaluation (Section 7) is a grid -- four protocols, several
-sweep points, 100 seeds per point -- yet the legacy entry points
-(:func:`~repro.experiments.runner.compare` /
-:func:`~repro.experiments.parallel.compare_parallel`) rebuild the O(n^2)
-unit-disk topology and the traffic schedule per protocol and historically
-spun up a fresh process pool per protocol per point.  This module is the
-grid-shaped replacement:
+sweep points, 100 seeds per point.  :func:`sweep` is the one entry point
+that runs such a grid:
 
 * the whole grid is flattened into one job list and dispatched through a
   **single long-lived** :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -15,7 +11,8 @@ grid-shaped replacement:
   consecutive, and chunk boundaries align to cells, so each worker's
   :class:`~repro.workload.cache.WorldCache` shares one topology/schedule
   build across the four protocols of a cell;
-* results are bit-identical to the serial path (same
+* results are bit-identical to the per-run serial path of
+  :func:`~repro.experiments.runner.run` (same
   :class:`~repro.metrics.aggregate.RunMetrics`, same merged counters) --
   caching and pooling change wall-clock only, asserted by
   ``tests/experiments/test_sweep.py``.
@@ -39,17 +36,16 @@ campaign therefore resumes with only its missing cells -- see
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import mean
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.experiments.config import SimulationSettings, protocol_class
-from repro.experiments.parallel import auto_chunksize
 from repro.experiments.runner import MeanMetrics, run_raw
 from repro.experiments.scenario import Scenario
 from repro.metrics.aggregate import RunMetrics
@@ -68,9 +64,9 @@ __all__ = [
     "DispatchBackend",
     "DispatchContext",
     "PoolBackend",
+    "auto_chunksize",
     "plan_jobs",
     "run_job",
-    "run_sweep",
     "sweep",
     "sweep_manifest",
     "bench_record",
@@ -123,6 +119,19 @@ class SweepCell:
         return MeanMetrics.from_runs(self.metrics, self.degrees)
 
 
+def auto_chunksize(n_jobs: int, workers: int) -> int:
+    """A ``pool.map`` chunksize balancing IPC overhead against stragglers.
+
+    The default ``chunksize=1`` pays one pickle/unpickle round-trip per
+    job; one giant chunk per worker serializes badly when run times vary.
+    Four chunks per worker keeps the IPC count at ``O(workers)`` while
+    leaving enough slack for rebalancing.
+    """
+    if n_jobs <= 0 or workers <= 0:
+        return 1
+    return max(1, math.ceil(n_jobs / (workers * 4)))
+
+
 def plan_jobs(
     protocols: Sequence[str],
     points: Sequence[SimulationSettings],
@@ -164,11 +173,17 @@ def run_job(job: SweepJob, cache: WorldCache | None = None) -> JobResult:
     mac_cls, kwargs = protocol_class(job.protocol)
     hit = False
     world = None
+    lookup_s = 0.0
     if cache is not None:
         hits_before = cache.hits
+        t0 = time.perf_counter()
         world = cache.world(job.settings, job.seed)
+        lookup_s = time.perf_counter() - t0
         hit = cache.hits > hits_before
     raw = run_raw(mac_cls, job.settings, job.seed, kwargs, world=world, profile=job.profile)
+    # The world lookup belongs to the build phase (an uncached run builds
+    # its topology there), so the spans chained from started_at cover it.
+    raw.timings["build"] += lookup_s
     return JobResult(
         point=job.point,
         protocol=job.protocol,
@@ -203,7 +218,7 @@ def _sweep_worker(job: SweepJob) -> JobResult:
 
 @dataclass
 class DispatchContext:
-    """What :func:`run_sweep` hands a backend alongside the pending jobs.
+    """What :func:`sweep` hands a backend alongside the pending jobs.
 
     Planning (which jobs exist, in what order), the store scan (which are
     already computed) and the merge (planned-job order, bit-identical)
@@ -230,7 +245,7 @@ class DispatchBackend:
     """Strategy object executing a sweep's pending jobs.
 
     Implementations call ``record(result)`` exactly once per pending job,
-    in any order; :func:`run_sweep` owns everything around that --
+    in any order; :func:`sweep` owns everything around that --
     store scan, store commits, telemetry, and the planned-order merge --
     so every backend inherits the bit-identity contract for free.
     """
@@ -396,27 +411,25 @@ class SweepResult:
         }
 
 
-def run_sweep(
-    protocols: "Sequence[str] | Scenario",
+def sweep(
+    scenario: Scenario,
     points: Sequence[SimulationSettings] | None = None,
-    seeds: Iterable[int] | None = None,
     *,
     processes: int | None = None,
     chunksize: int | None = None,
-    threshold: float | None = None,
     store=None,
     telemetry=None,
     profile: bool = False,
     campaign: str = "sweep",
     backend: DispatchBackend | None = None,
 ) -> SweepResult:
-    """Run the full protocols x points x seeds grid.
+    """Run the full protocols x points x seeds grid of *scenario*.
 
-    Canonical form: ``run_sweep(Scenario(...), points=[...])`` -- the
-    scenario supplies protocols, seeds and scoring threshold; *points*
-    lists the per-point settings (defaulting to the scenario's own
-    settings as a single point).  The legacy
-    ``run_sweep(protocols, points, seeds)`` signature is deprecated.
+    ``sweep(Scenario(...))`` runs the scenario's settings as a single
+    point; pass *points* for a real grid (each point a
+    :class:`SimulationSettings`, typically built with
+    ``scenario.settings.with_(...)``).  The scenario supplies protocols,
+    seeds and scoring threshold.
 
     ``processes=None`` uses ``os.cpu_count()``; ``processes=1`` runs
     in-process (with the same world cache, still bit-identical).  The
@@ -453,29 +466,14 @@ def run_sweep(
     identical either way -- that is why a distributed campaign is
     bit-identical to a serial one.
     """
-    if isinstance(protocols, Scenario):
-        sc = protocols
-        if seeds is not None:
-            raise TypeError("run_sweep(Scenario) takes seeds from the scenario")
-        protocols = list(sc.protocols)
-        points = list(points) if points is not None else [sc.settings]
-        seeds = list(sc.seeds)
-        if threshold is None:
-            threshold = sc.threshold
-    else:
-        warnings.warn(
-            "run_sweep(protocols, points, seeds) is deprecated; pass a "
-            "repro.Scenario (plus points=[...] for a grid) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if points is None or seeds is None:
-            raise TypeError("legacy run_sweep needs explicit points and seeds")
-        protocols = list(protocols)
-        points = list(points)
-        seeds = list(seeds)
-    if not protocols or not points or not seeds:
-        raise ValueError("sweep needs at least one protocol, one point and one seed")
+    if not isinstance(scenario, Scenario):
+        raise TypeError(f"sweep() needs a Scenario, got {type(scenario).__name__}")
+    protocols = list(scenario.protocols)
+    points = list(points) if points is not None else [scenario.settings]
+    seeds = list(scenario.seeds)
+    threshold = scenario.threshold
+    if not points:
+        raise ValueError("sweep needs at least one point")
     timer = PhaseTimer()
     jobs = plan_jobs(protocols, points, seeds, threshold, profile=profile)
     point_digests = [settings_digest(st, threshold) for st in points]
@@ -647,41 +645,6 @@ def run_sweep(
             # An exception escaped mid-campaign: leave the stream as-is
             # (no `end` record -- the watcher reports it interrupted).
             opened_telemetry.__exit__(Exception, None, None)
-
-
-def sweep(
-    scenario: Scenario,
-    points: Sequence[SimulationSettings] | None = None,
-    *,
-    processes: int | None = None,
-    chunksize: int | None = None,
-    store=None,
-    telemetry=None,
-    profile: bool = False,
-    campaign: str = "sweep",
-    backend: DispatchBackend | None = None,
-) -> SweepResult:
-    """The canonical grid entry point: :func:`run_sweep` over a Scenario.
-
-    ``sweep(Scenario(...))`` runs the scenario's settings as a single
-    point; pass *points* for a real grid (each point a
-    :class:`SimulationSettings`, typically built with
-    ``scenario.settings.with_(...)``), and *store* (path or
-    :class:`~repro.store.db.ResultStore`) to memoise/resume the campaign.
-    """
-    if not isinstance(scenario, Scenario):
-        raise TypeError(f"sweep() needs a Scenario, got {type(scenario).__name__}")
-    return run_sweep(
-        scenario,
-        points,
-        processes=processes,
-        chunksize=chunksize,
-        store=store,
-        telemetry=telemetry,
-        profile=profile,
-        campaign=campaign,
-        backend=backend,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -169,7 +169,7 @@ class CampaignTelemetry:
             return float(self._point_slots[point])
         return 0.0
 
-    # -- the emitting surface (driven by run_sweep) --------------------------
+    # -- the emitting surface (driven by sweep) ------------------------------
 
     def store_scan(self, store_served: int, pending: int) -> None:
         """Record the store consultation's outcome before dispatch."""

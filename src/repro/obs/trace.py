@@ -217,8 +217,9 @@ def load_trace(source: str | Path | IO[str], include_meta: bool = False) -> Trac
 
 def frame_type_counts(events: Iterable[SimEvent], etype: str = "frame_tx") -> dict[str, int]:
     """Per-frame-type counts over *etype* events (``frame_tx`` by default;
-    pass ``"frame_rx"`` for deliveries).  Matches ``ChannelStats`` /
-    counter totals exactly -- asserted by the integration tests."""
+    pass ``"frame_rx"`` for deliveries).  Matches the ``frames_sent.*`` /
+    ``frames_delivered.*`` counter totals exactly -- asserted by the
+    integration tests."""
     counts: dict[str, int] = {}
     for event in events:
         if event.etype == etype:

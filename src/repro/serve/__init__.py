@@ -7,8 +7,8 @@ campaign can span worker processes on any host that can reach the store
 file:
 
 * a **coordinator** (:func:`serve_campaign` / ``repro-mac serve``) plans
-  the grid exactly like :func:`~repro.experiments.sweep.run_sweep`
-  (because it *is* run_sweep, with :class:`ServeBackend` plugged in),
+  the grid exactly like :func:`~repro.experiments.sweep.sweep`
+  (because it *is* sweep, with :class:`ServeBackend` plugged in),
   enqueues the pending cells into the store's lease queue, and merges
   committed results in planned-job order -- bit-identical to a serial
   run;

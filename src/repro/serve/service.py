@@ -1,7 +1,7 @@
 """The campaign coordinator: plan, enqueue, collect, merge -- bit-identical.
 
 :class:`ServeBackend` is a :class:`~repro.experiments.sweep.DispatchBackend`,
-so a distributed campaign goes through the *same* :func:`run_sweep` as a
+so a distributed campaign goes through the *same* :func:`sweep` as a
 pooled one: same planning (``plan_jobs``), same store scan (committed
 cells are never recomputed -- that is the killed-coordinator resume
 story), same telemetry, same planned-job-order merge.  The backend only
@@ -15,7 +15,7 @@ Because workers commit through
 :meth:`~repro.store.db.ResultStore.complete_cells` (result + lease
 transition in one transaction) and the merge walks planned-job order,
 the merged metrics, counters and manifests of a distributed run are
-bit-identical to a serial ``run_sweep`` on the same scenario, whatever
+bit-identical to a serial ``sweep`` on the same scenario, whatever
 the interleaving of workers, kills and reclamations (pinned by
 ``tests/serve/`` and the CI ``serve-smoke`` job).
 """
@@ -34,7 +34,7 @@ from repro.experiments.sweep import (
     DispatchBackend,
     DispatchContext,
     SweepResult,
-    run_sweep,
+    sweep,
 )
 from repro.obs.telemetry import load_telemetry
 from repro.serve.worker import DEFAULT_LEASE_TTL
@@ -57,7 +57,7 @@ def worker_stream_dir(store_path: str | Path) -> Path:
 class ServeBackend(DispatchBackend):
     """Dispatch pending cells through the store's lease queue.
 
-    Plug into :func:`~repro.experiments.sweep.run_sweep` (or use the
+    Plug into :func:`~repro.experiments.sweep.sweep` (or use the
     :func:`serve_campaign` wrapper).  Requires ``store=``; workers attach
     by pointing ``repro-mac work`` at the same store path and campaign
     name.  ``spawn_workers=N`` additionally launches N local worker
@@ -84,7 +84,7 @@ class ServeBackend(DispatchBackend):
     def run(self, pending, record, ctx: DispatchContext) -> tuple[int, int]:
         store = ctx.store
         if store is None:
-            raise ValueError("ServeBackend needs run_sweep(..., store=...): the "
+            raise ValueError("ServeBackend needs sweep(..., store=...): the "
                              "store is the coordination substrate")
         campaign = self.campaign or ctx.campaign
         fingerprint = ctx.fingerprint
@@ -251,12 +251,12 @@ def serve_campaign(
     """Coordinate a distributed campaign; returns the merged SweepResult.
 
     ``serve_campaign(Scenario(...), points, store=path)`` is
-    :func:`~repro.experiments.sweep.run_sweep` with a
+    :func:`~repro.experiments.sweep.sweep` with a
     :class:`ServeBackend`: already-committed cells are served from the
     store (killed-coordinator resume), the rest are enqueued for workers
     (``repro-mac work`` against the same store/campaign, or
     ``spawn_workers=N`` local ones), and the merge is bit-identical to a
-    serial run.  *telemetry* works exactly as in ``run_sweep``, with
+    serial run.  *telemetry* works exactly as in ``sweep``, with
     worker heartbeat streams folded in.
     """
     backend = ServeBackend(
@@ -267,7 +267,7 @@ def serve_campaign(
         wait_timeout=wait_timeout,
         worker_dir=worker_dir,
     )
-    result = run_sweep(
+    result = sweep(
         scenario,
         points,
         store=store,

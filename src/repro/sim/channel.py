@@ -93,17 +93,14 @@ def _compact(txs: "list[Transmission]", horizon: float) -> float:
 
 @dataclass
 class ChannelStats:
-    """Ground-truth channel bookkeeping for metrics and theorem checks."""
+    """Ground-truth delivery bookkeeping for metrics and theorem checks.
+
+    Loss outcomes (collisions, captures, frame errors, half-duplex and
+    rate losses) are counted once, in :attr:`Channel.counters`.
+    """
 
     frames_sent: dict[FrameType, int] = field(default_factory=dict)
     frames_delivered: dict[FrameType, int] = field(default_factory=dict)
-    collisions: int = 0
-    captures: int = 0
-    frame_errors: int = 0
-    half_duplex_losses: int = 0
-    #: Frames heard at a receiver whose link does not sustain the frame's
-    #: MCS (multi-rate profiles only; always 0 at the base rate).
-    rate_losses: int = 0
     #: msg_id -> every station that decoded the DATA frame (any retry,
     #: capture included; bystanders overhearing it count too -- intersect
     #: with the request's intended set when scoring).
@@ -320,7 +317,6 @@ class Channel:
             radio.own_min_end = end
         if end > radio.busy_until:
             radio.busy_until = end
-        radio._notify_activity(tx)
 
         # Audibility (carrier sense + interference) extends to the
         # interference range; decodability (see _finish) only to the
@@ -338,7 +334,6 @@ class Channel:
                 r.audible_min_end = end
             if end > r.busy_until:
                 r.busy_until = end
-            r._notify_activity(tx)
 
         done = self.env.timeout(airtime, value=tx, priority=PRIORITY_DELIVERY)
         done.callbacks.append(lambda _ev: self._finish(tx))
@@ -397,6 +392,20 @@ class Channel:
                 longest = max(counts) if counts else 1.0
                 self._max_airtime = longest if longest > 1.0 else 1.0
 
+    def _note(self, radio: Radio, tx: Transmission, key: str, etype: str, **extra) -> None:
+        """Count one reception outcome at *radio* and emit its event."""
+        self.counters.inc(key, node=radio.node_id)
+        obs = self._obs
+        if obs.active:
+            obs.emit(
+                etype,
+                node=radio.node_id,
+                uid=tx.frame.uid,
+                ftype=tx.frame.ftype.value,
+                src=tx.sender,
+                **extra,
+            )
+
     def _receive_at(self, radio: Radio, tx: Transmission) -> None:
         obs = self._obs
         faults = self.faults
@@ -404,31 +413,14 @@ class Channel:
             # Crashed receiver: radio is dark, nothing is decoded and no
             # collision/half-duplex accounting applies (the frame's energy
             # still interfered at *live* receivers via the overlap lists).
-            self.counters.inc("faults.rx_dropped", node=radio.node_id)
-            if obs.active:
-                obs.emit(
-                    "fault_rx_dropped",
-                    node=radio.node_id,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
-                    src=tx.sender,
-                )
+            self._note(radio, tx, "faults.rx_dropped", "fault_rx_dropped")
             return
         tx_start = tx.start
         tx_end = tx.end
         # Half-duplex: receiving while transmitting is impossible.
         for own in radio.own_tx:
             if own.start < tx_end and tx_start < own.end:
-                self.stats.half_duplex_losses += 1
-                self.counters.inc("half_duplex_losses", node=radio.node_id)
-                if obs.active:
-                    obs.emit(
-                        "half_duplex_loss",
-                        node=radio.node_id,
-                        uid=tx.frame.uid,
-                        ftype=tx.frame.ftype.value,
-                        src=tx.sender,
-                    )
+                self._note(radio, tx, "half_duplex_losses", "half_duplex_loss")
                 return
 
         # Rate gate: a frame at MCS m > 0 carries more bits per slot than
@@ -439,17 +431,7 @@ class Channel:
         # frame still interferes at this receiver via the overlap lists.
         fmcs = tx.frame.mcs
         if fmcs and self.propagation.link_mcs(self.phy)[tx.sender][radio.node_id] < fmcs:
-            self.stats.rate_losses += 1
-            self.counters.inc("rate_losses", node=radio.node_id)
-            if obs.active:
-                obs.emit(
-                    "rate_loss",
-                    node=radio.node_id,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
-                    src=tx.sender,
-                    mcs=fmcs,
-                )
+            self._note(radio, tx, "rate_losses", "rate_loss", mcs=fmcs)
             return
 
         overlaps = [
@@ -465,17 +447,7 @@ class Channel:
         if k == 1:
             clean = True
         else:
-            self.stats.collisions += 1
-            self.counters.inc("collisions", node=radio.node_id)
-            if obs.active:
-                obs.emit(
-                    "collision",
-                    node=radio.node_id,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
-                    src=tx.sender,
-                    k=k,
-                )
+            self._note(radio, tx, "collisions", "collision", k=k)
             # Capture ranking by *distance*: ``d**-eta`` is strictly
             # decreasing in ``d``, so "every other frame strictly weaker"
             # is exactly "every other sender strictly farther" -- same
@@ -495,45 +467,18 @@ class Channel:
                     break
             if not (strongest and self.capture.attempt(k, self.rng)):
                 return
-            self.stats.captures += 1
-            self.counters.inc("captures", node=radio.node_id)
-            if obs.active:
-                obs.emit(
-                    "capture",
-                    node=radio.node_id,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
-                    src=tx.sender,
-                    k=k,
-                )
+            self._note(radio, tx, "captures", "capture", k=k)
             clean = False
 
         if self.frame_error_rate > 0.0 and self.rng.random() < self.frame_error_rate:
-            self.stats.frame_errors += 1
-            self.counters.inc("frame_errors", node=radio.node_id)
-            if obs.active:
-                obs.emit(
-                    "frame_error",
-                    node=radio.node_id,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
-                    src=tx.sender,
-                )
+            self._note(radio, tx, "frame_errors", "frame_error")
             return
 
         if faults is not None and faults.ge is not None and faults.frame_lost(
             radio.node_id, self.env.now
         ):
             # Bursty (Gilbert-Elliott) loss, on top of the i.i.d. channel.
-            self.counters.inc("faults.burst_losses", node=radio.node_id)
-            if obs.active:
-                obs.emit(
-                    "fault_burst_loss",
-                    node=radio.node_id,
-                    uid=tx.frame.uid,
-                    ftype=tx.frame.ftype.value,
-                    src=tx.sender,
-                )
+            self._note(radio, tx, "faults.burst_losses", "fault_burst_loss")
             return
 
         self.stats.note_delivered(tx.frame, radio.node_id, clean)

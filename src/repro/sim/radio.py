@@ -5,9 +5,6 @@ A :class:`Radio` is the MAC layer's window onto the shared channel:
 * **physical carrier sense** -- :attr:`busy_until` / :meth:`is_busy` reflect
   every transmission currently audible at this node, *including the node's
   own* (a transmitting station trivially senses a busy medium);
-* **activity notification** -- :attr:`activity` is a re-armed event that
-  fires whenever a new transmission becomes audible, so contention-phase
-  processes can abort DIFS/backoff waits the moment the medium goes busy;
 * **reception** -- frames the channel decides this node received are pushed
   to registered listeners, synchronously at the slot the frame ends;
 * **transmission** -- :meth:`Radio.transmit` hands a frame to the channel
@@ -55,7 +52,6 @@ class Radio:
         self.own_min_end: float = float("inf")
         self.audible_min_end: float = float("inf")
         self._listeners: list[FrameListener] = []
-        self._activity: Event = channel.env.event()
 
     # -- carrier sense -------------------------------------------------------
 
@@ -68,19 +64,6 @@ class Radio:
     def is_transmitting(self) -> bool:
         now = self.env.now
         return any(t.start <= now < t.end for t in self.own_tx)
-
-    @property
-    def activity(self) -> Event:
-        """Event firing at the next moment a new transmission starts.
-
-        Grab the property *before* waiting; a fresh event is armed after
-        each firing.
-        """
-        return self._activity
-
-    def _notify_activity(self, transmission: "Transmission") -> None:
-        ev, self._activity = self._activity, self.env.event()
-        ev.succeed(transmission, priority=PRIORITY_DELIVERY)
 
     # -- reception -----------------------------------------------------------
 

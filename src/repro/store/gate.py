@@ -184,7 +184,7 @@ def run_gate(
     define the grid, so the gate always compares like with like.
     """
     from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import run_sweep
+    from repro.experiments.sweep import sweep
 
     tol = tolerances or GateTolerances()
     try:
@@ -203,7 +203,7 @@ def run_gate(
         seeds=tuple(seeds),
         threshold=threshold,
     )
-    result = run_sweep(scenario, points, processes=processes, store=store)
+    result = sweep(scenario, points, processes=processes, store=store)
 
     checks: list[_Check] = []
     for p, point in enumerate(points_payload):

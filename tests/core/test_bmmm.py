@@ -105,7 +105,7 @@ class TestBmmmMediumControl:
         net.run(until=600)
         assert req.status is MessageStatus.COMPLETED
         # No collisions: node 1 waited the batch out.
-        assert net.channel.stats.collisions == 0
+        assert net.channel.counters.get("collisions") == 0
 
     def test_third_party_yields_via_duration(self):
         """A receiver hearing RTS(p2) mid-batch still answers its own

@@ -1,17 +1,16 @@
-"""Tests for the unified Scenario surface and its deprecation shims.
+"""Tests for the unified Scenario surface.
 
-One frozen :class:`repro.Scenario` is accepted by every entry point
-(``run`` / ``run_once`` / ``run_protocol`` / ``compare`` / ``sweep``);
-the legacy positional signatures still work behind DeprecationWarning
-and must produce bit-identical results.
+One frozen :class:`repro.Scenario` is the argument of every entry point
+(``run`` / ``run_once`` / ``run_protocol`` / ``sweep``), and each agrees
+bit-for-bit with the per-run path underneath (``run_raw``).
 """
 
 import pytest
 
 from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings, protocol_class
-from repro.experiments.runner import compare, run, run_once, run_protocol
+from repro.experiments.runner import MeanMetrics, run, run_once, run_protocol, run_raw
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import run_sweep, sweep
+from repro.experiments.sweep import sweep
 
 SMALL = SimulationSettings(n_nodes=16, horizon=600, message_rate=0.003)
 
@@ -79,35 +78,27 @@ class TestNormalization:
 
 class TestDualAcceptance:
     def test_run_once_matches_legacy(self):
+        """run_once is one run_raw, scored at the scenario's threshold."""
         sc = Scenario(settings=SMALL, protocols="BMMM", seeds=3)
         modern = run_once(sc)
-        mac_cls, _ = protocol_class("BMMM")
-        with pytest.warns(DeprecationWarning, match="Scenario"):
-            legacy = run_once(mac_cls, SMALL, 3)
-        assert modern.delivery_rate == legacy.delivery_rate
-        assert modern.counters == legacy.counters
+        mac_cls, kwargs = protocol_class("BMMM")
+        raw = run_raw(mac_cls, SMALL, 3, kwargs).metrics()
+        assert modern.delivery_rate == raw.delivery_rate
+        assert modern.counters == raw.counters
 
     def test_run_once_rejects_mixed_args(self):
         with pytest.raises(TypeError):
             run_once(Scenario(protocols="BMMM"), SMALL)
 
     def test_run_protocol_matches_legacy(self):
+        """run_protocol averages one run_raw per seed."""
         sc = Scenario(settings=SMALL, protocols="LAMM", seeds=(0, 1))
-        modern = run_protocol(sc)
-        with pytest.warns(DeprecationWarning, match="Scenario"):
-            legacy = run_protocol("LAMM", SMALL, [0, 1])
-        assert modern == legacy
-
-    def test_compare_matches_run(self):
-        sc = Scenario(settings=SMALL, protocols=("BMMM", "BMW"), seeds=(0,))
-        assert compare(sc) == run(sc)
-
-    def test_compare_legacy_warns_once(self):
-        with pytest.warns(DeprecationWarning) as record:
-            legacy = compare(["BMMM"], SMALL, [0])
-        assert len([w for w in record if w.category is DeprecationWarning]) == 1
-        sc = Scenario(settings=SMALL, protocols="BMMM", seeds=0)
-        assert run(sc)["BMMM"] == legacy["BMMM"]
+        mac_cls, kwargs = protocol_class("LAMM")
+        raws = [run_raw(mac_cls, SMALL, seed, kwargs) for seed in (0, 1)]
+        expected = MeanMetrics.from_runs(
+            [r.metrics() for r in raws], [r.average_degree for r in raws]
+        )
+        assert run_protocol(sc) == expected == run(sc)["LAMM"]
 
     def test_run_respects_protocol_order_and_workload_sharing(self):
         sc = Scenario(settings=SMALL, protocols=("LAMM", "BMMM"), seeds=(0,))
@@ -124,18 +115,18 @@ class TestSweepScenario:
 
     def test_scenario_seeds_conflict_rejected(self):
         with pytest.raises(TypeError, match="seeds"):
-            run_sweep(Scenario(settings=SMALL), seeds=[0, 1])
+            sweep(Scenario(settings=SMALL), seeds=[0, 1])
 
     def test_sweep_matches_legacy_grid(self):
+        """Each grid point equals ``run`` at that point's settings."""
         points = [SMALL, SMALL.with_(n_nodes=20)]
         sc = Scenario(settings=SMALL, protocols=("BMMM", "LAMM"), seeds=(0, 1))
-        modern = sweep(sc, points, processes=1)
-        with pytest.warns(DeprecationWarning, match="Scenario"):
-            legacy = run_sweep(["BMMM", "LAMM"], points, [0, 1], processes=1)
-        for idx in range(len(points)):
+        grid = sweep(sc, points, processes=1)
+        for idx, point in enumerate(points):
+            per_point = run(sc.with_(settings=point))
             for proto in ("BMMM", "LAMM"):
-                assert modern.mean(idx, proto) == legacy.mean(idx, proto)
-                assert modern.mean(idx, proto).counters == legacy.mean(idx, proto).counters
+                assert grid.mean(idx, proto) == per_point[proto]
+                assert grid.mean(idx, proto).counters == per_point[proto].counters
 
     def test_sweep_defaults_to_single_point(self):
         sc = Scenario(settings=SMALL, protocols="BMMM", seeds=0)
@@ -165,7 +156,6 @@ class TestPublicSurface:
             "sweep",
             "run_once",
             "run_protocol",
-            "compare",
         ):
             assert name in repro.__all__, name
             assert getattr(repro, name) is not None

@@ -6,20 +6,22 @@ metrics and merged counters for every protocol at every sweep point.
 """
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings as hsettings, strategies as st
 
 from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings, protocol_class
-from repro.experiments.parallel import auto_chunksize
-from repro.experiments.runner import compare, run_raw
+from repro.experiments.runner import run, run_raw
+from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import (
     SweepJob,
+    auto_chunksize,
     bench_record,
     plan_jobs,
     run_job,
-    run_sweep,
     save_bench,
+    sweep,
     sweep_manifest,
 )
 from repro.obs.counters import merge_counter_dicts
@@ -28,6 +30,7 @@ from repro.workload.cache import WorldCache, schedule_key, topology_key
 SMALL = SimulationSettings(n_nodes=20, horizon=800, message_rate=0.003)
 POINTS = [SMALL, SMALL.with_(n_nodes=28)]
 SEEDS = [0, 1]
+SCENARIO = Scenario(settings=SMALL, protocols=SIMULATED_PROTOCOLS, seeds=SEEDS)
 
 
 def canon(m):
@@ -53,7 +56,7 @@ def canon(m):
 @pytest.fixture(scope="module")
 def serial_sweep():
     """One cached-serial grid over all four protocols, shared per module."""
-    return run_sweep(SIMULATED_PROTOCOLS, POINTS, SEEDS, processes=1)
+    return sweep(SCENARIO, POINTS, processes=1)
 
 
 class TestBitIdentity:
@@ -62,14 +65,14 @@ class TestBitIdentity:
         path must reproduce the per-run serial path exactly -- metrics
         AND merged counter totals."""
         for idx, point in enumerate(POINTS):
-            legacy = compare(SIMULATED_PROTOCOLS, point, SEEDS)
+            legacy = run(SCENARIO.with_(settings=point))
             for proto in SIMULATED_PROTOCOLS:
                 mm = serial_sweep.mean(idx, proto)
                 assert mm == legacy[proto], (idx, proto)
                 assert mm.counters == legacy[proto].counters, (idx, proto)
 
     def test_pooled_equals_cached_serial(self, serial_sweep):
-        pooled = run_sweep(SIMULATED_PROTOCOLS, POINTS, SEEDS, processes=2)
+        pooled = sweep(SCENARIO, POINTS, processes=2)
         for idx in range(len(POINTS)):
             for proto in SIMULATED_PROTOCOLS:
                 assert pooled.mean(idx, proto) == serial_sweep.mean(idx, proto)
@@ -175,6 +178,20 @@ class TestNoStateLeak:
         assert canon(reused.metrics) == canon(cold.metrics())
         assert reused.degree == cold.average_degree
 
+    def test_world_lookup_counts_as_build_time(self):
+        """The cache lookup runs after ``started_at`` and before run_raw's
+        own build phase; its seconds belong to the ``build`` timing, so
+        the spans chained from ``started_at`` cover the whole cell."""
+
+        class SlowCache(WorldCache):
+            def world(self, settings, seed):
+                time.sleep(0.05)
+                return super().world(settings, seed)
+
+        res = run_job(SweepJob(0, "BMMM", 0, SMALL), SlowCache())
+        assert res.timings["build"] >= 0.05
+        assert list(res.timings) == ["build", "inject", "simulate"]
+
     def test_same_job_twice_through_one_cache(self):
         cache = WorldCache()
         job = SweepJob(0, "LAMM", 7, SMALL)
@@ -196,7 +213,7 @@ class TestJobPlanning:
         assert len(jobs) == 8
 
     def test_default_chunksize_covers_whole_cells(self, serial_sweep):
-        pooled = run_sweep(SIMULATED_PROTOCOLS, POINTS, SEEDS, processes=2)
+        pooled = sweep(SCENARIO, POINTS, processes=2)
         assert pooled.chunksize % len(SIMULATED_PROTOCOLS) == 0
 
     def test_auto_chunksize(self):
@@ -207,11 +224,11 @@ class TestJobPlanning:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            run_sweep([], POINTS, SEEDS)
+            Scenario(settings=SMALL, protocols=[], seeds=SEEDS)
         with pytest.raises(ValueError):
-            run_sweep(["BMMM"], [], SEEDS)
+            sweep(SCENARIO, points=[])
         with pytest.raises(ValueError):
-            run_sweep(["BMMM"], POINTS, [])
+            Scenario(settings=SMALL, protocols="BMMM", seeds=[])
 
 
 class TestManifestAndBench:

@@ -15,7 +15,6 @@ from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings
 from repro.experiments.scenario import Scenario
 from repro.experiments.sweep import (
     bench_record,
-    run_sweep,
     sweep,
     sweep_manifest,
 )
@@ -45,9 +44,9 @@ def assert_bit_identical(a, b):
 @pytest.fixture(scope="module")
 def cold(tmp_path_factory):
     """One cold campaign: storeless reference + the store it populated."""
-    storeless = run_sweep(SCENARIO, POINTS, processes=1)
+    storeless = sweep(SCENARIO, POINTS, processes=1)
     path = tmp_path_factory.mktemp("store") / "campaign.sqlite"
-    populating = run_sweep(SCENARIO, POINTS, processes=1, store=path)
+    populating = sweep(SCENARIO, POINTS, processes=1, store=path)
     return storeless, populating, path
 
 
@@ -61,7 +60,7 @@ class TestWarmRerun:
     def test_warm_rerun_dispatches_nothing_yet_matches_cold(self, cold):
         """The headline acceptance: zero workers, all cells served."""
         storeless, _, path = cold
-        warm = run_sweep(SCENARIO, POINTS, processes=1, store=path)
+        warm = sweep(SCENARIO, POINTS, processes=1, store=path)
         assert warm.store_hits == N_JOBS
         assert warm.store_misses == 0
         assert warm.processes == 0  # nothing was dispatched at all
@@ -70,7 +69,7 @@ class TestWarmRerun:
 
     def test_warm_manifest_counters_equal_cold(self, cold):
         _, populating, path = cold
-        warm = run_sweep(SCENARIO, POINTS, processes=1, store=path)
+        warm = sweep(SCENARIO, POINTS, processes=1, store=path)
         cold_manifest = sweep_manifest(populating, name="acc")
         warm_manifest = sweep_manifest(warm, name="acc")
         assert warm_manifest.counters == cold_manifest.counters
@@ -84,9 +83,9 @@ class TestWarmRerun:
         run would write: populate pooled, rerun warm serial."""
         storeless, _, _ = cold
         path = tmp_path / "pooled.sqlite"
-        pooled = run_sweep(SCENARIO, POINTS, processes=2, store=path)
+        pooled = sweep(SCENARIO, POINTS, processes=2, store=path)
         assert pooled.store_misses == N_JOBS
-        warm = run_sweep(SCENARIO, POINTS, processes=1, store=path)
+        warm = sweep(SCENARIO, POINTS, processes=1, store=path)
         assert warm.store_hits == N_JOBS and warm.processes == 0
         assert_bit_identical(warm, storeless)
 
@@ -100,9 +99,9 @@ class TestResume:
     def test_partial_campaign_completes_only_missing_point(self, cold, tmp_path):
         storeless, _, _ = cold
         path = tmp_path / "partial.sqlite"
-        first = run_sweep(SCENARIO, [POINTS[0]], processes=1, store=path)
+        first = sweep(SCENARIO, [POINTS[0]], processes=1, store=path)
         assert first.store_misses == N_JOBS // 2
-        full = run_sweep(SCENARIO, POINTS, processes=1, store=path)
+        full = sweep(SCENARIO, POINTS, processes=1, store=path)
         assert full.store_hits == N_JOBS // 2  # all of point 0
         assert full.store_misses == N_JOBS // 2  # all of point 1
         assert_bit_identical(full, storeless)
@@ -129,13 +128,13 @@ class TestResume:
 
         monkeypatch.setattr(sweep_mod, "run_job", dying_run_job)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(SCENARIO, POINTS, processes=1, store=path)
+            sweep(SCENARIO, POINTS, processes=1, store=path)
         monkeypatch.setattr(sweep_mod, "run_job", real_run_job)
 
         with ResultStore(path) as store:
             assert store.stats()["n_results"] == kill_after
 
-        resumed = run_sweep(SCENARIO, POINTS, processes=1, store=path)
+        resumed = sweep(SCENARIO, POINTS, processes=1, store=path)
         assert resumed.store_hits == kill_after
         assert resumed.store_misses == N_JOBS - kill_after
         assert_bit_identical(resumed, storeless)
@@ -144,7 +143,7 @@ class TestResume:
         """The scoring threshold is part of the cell address: a rerun with
         another threshold must recompute, not serve mis-scored cells."""
         _, _, path = cold
-        rescored = run_sweep(
+        rescored = sweep(
             SCENARIO.with_(threshold=0.5), POINTS, processes=1, store=path
         )
         assert rescored.store_hits == 0
@@ -160,7 +159,7 @@ class TestResume:
                 for proto in SIMULATED_PROTOCOLS:
                     for seed in SCENARIO.seeds:
                         store.put(digest, proto, seed, object(), fingerprint="0" * 64)
-        fresh = run_sweep(SCENARIO, POINTS, processes=1, store=path)
+        fresh = sweep(SCENARIO, POINTS, processes=1, store=path)
         assert fresh.store_hits == 0 and fresh.store_misses == N_JOBS
         assert_bit_identical(fresh, storeless)
 
@@ -215,10 +214,10 @@ class TestStoreEquivalenceProperty:
     def test_store_roundtrip_is_bit_identical(self, n_nodes, rate, protocol, seed):
         point = SimulationSettings(n_nodes=n_nodes, horizon=300, message_rate=rate)
         scenario = Scenario(settings=point, protocols=(protocol,), seeds=(seed,))
-        storeless = run_sweep(scenario, [point], processes=1)
+        storeless = sweep(scenario, [point], processes=1)
         with ResultStore(":memory:") as store:
-            populating = run_sweep(scenario, [point], processes=1, store=store)
-            warm = run_sweep(scenario, [point], processes=1, store=store)
+            populating = sweep(scenario, [point], processes=1, store=store)
+            warm = sweep(scenario, [point], processes=1, store=store)
         assert populating.store_misses == 1 and warm.store_hits == 1
         assert_bit_identical(populating, storeless)
         assert_bit_identical(warm, storeless)

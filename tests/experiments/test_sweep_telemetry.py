@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments.config import SIMULATED_PROTOCOLS, SimulationSettings
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import bench_record, run_sweep, sweep_manifest
+from repro.experiments.sweep import bench_record, sweep, sweep_manifest
 from repro.obs.profiler import PROFILE_PHASES
 from repro.obs.telemetry import load_telemetry
 from tests.experiments.test_sweep_store import assert_bit_identical
@@ -31,9 +31,9 @@ N_JOBS = len(SIMULATED_PROTOCOLS) * len(POINTS) * len(SCENARIO.seeds)
 @pytest.fixture(scope="module")
 def observed(tmp_path_factory):
     """One bare run and one with telemetry + profiler, same grid."""
-    bare = run_sweep(SCENARIO, POINTS, processes=1)
+    bare = sweep(SCENARIO, POINTS, processes=1)
     path = tmp_path_factory.mktemp("telemetry") / "campaign.jsonl"
-    instrumented = run_sweep(
+    instrumented = sweep(
         SCENARIO, POINTS, processes=1, telemetry=path, profile=True, campaign="obs-test"
     )
     return bare, instrumented, path
@@ -134,8 +134,8 @@ class TestStoreServedBench:
     @pytest.fixture(scope="class")
     def warm(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("store") / "campaign.sqlite"
-        run_sweep(SCENARIO, POINTS, processes=1, store=path)
-        return run_sweep(SCENARIO, POINTS, processes=1, store=path)
+        sweep(SCENARIO, POINTS, processes=1, store=path)
+        return sweep(SCENARIO, POINTS, processes=1, store=path)
 
     def test_fully_served_campaign_flags_itself(self, warm):
         assert warm.store_hits == N_JOBS
@@ -163,9 +163,9 @@ class TestStoreServedBench:
 class TestTelemetryWithStore:
     def test_store_served_cells_counted_not_spanned(self, tmp_path):
         store = tmp_path / "s.sqlite"
-        run_sweep(SCENARIO, POINTS, processes=1, store=store)
+        sweep(SCENARIO, POINTS, processes=1, store=store)
         path = tmp_path / "warm.jsonl"
-        result = run_sweep(
+        result = sweep(
             SCENARIO, POINTS, processes=1, store=store, telemetry=path
         )
         assert result.store_served

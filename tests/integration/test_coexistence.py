@@ -103,7 +103,7 @@ class TestMixedProtocolNetworks:
         net.env.process(later())
         net.run(until=600)
         assert req.status is MessageStatus.COMPLETED
-        assert net.channel.stats.collisions == 0
+        assert net.channel.counters.get("collisions") == 0
 
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="MAC classes"):

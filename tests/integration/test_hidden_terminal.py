@@ -36,7 +36,7 @@ class TestHiddenTerminal:
         collisions = 0
         for seed in range(6):
             net, req = jammed_chain(PlainMulticastMac, seed)
-            collisions += net.channel.stats.collisions
+            collisions += net.channel.counters.get("collisions")
         assert collisions > 0
 
     def test_bmmm_protects_data_with_handshake(self):

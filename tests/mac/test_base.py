@@ -105,7 +105,7 @@ class TestDcfUnicast:
         # Node 2 overheard RTS(0->1): its NAV was set at some point.
         # After the run the NAV has expired, but the exchange completed
         # without node 2 interfering (no collisions on a clean channel).
-        assert net.channel.stats.collisions == 0
+        assert net.channel.counters.get("collisions") == 0
 
     def test_queued_message_expires_before_service(self):
         """A message whose deadline passes while queued is TIMED_OUT."""

@@ -6,9 +6,12 @@ all agree with each other, and observing a run must not change it.
 """
 
 import json
+from collections import Counter
 
 from repro.experiments.config import SimulationSettings, protocol_class
+from repro.experiments.ratesweep import RATE_PROFILES
 from repro.experiments.runner import run_raw
+from repro.faults.plan import FaultPlan, GilbertElliott, NodeChurn
 from repro.obs.trace import (
     JsonlTraceWriter,
     TraceRecorder,
@@ -20,10 +23,38 @@ from repro.obs.trace import (
 
 SMALL = SimulationSettings(n_nodes=20, horizon=800, message_rate=0.003)
 
+#: Seeded runs that between them fire every reception-loss outcome.
+LOSS_RUNS = {
+    "base": ("BMW", SMALL),
+    "frame_error_rate": ("BMW", SMALL.with_(frame_error_rate=0.1)),
+    "multi_rate": ("RAM", SMALL.with_(phy=RATE_PROFILES["aggressive"])),
+    "churn": (
+        "BMW",
+        SMALL.with_(faults=FaultPlan(churn=NodeChurn(crash_rate=0.001, mean_downtime=100.0))),
+    ),
+    "ge_bursts": (
+        "BMW",
+        SMALL.with_(
+            faults=FaultPlan(burst=GilbertElliott.from_burst(mean_burst=5.0, stationary_bad=0.2))
+        ),
+    ),
+}
 
-def _run(name="BMMM", seed=0, **kwargs):
+#: (counter key, event type, the LOSS_RUNS entry that must fire it).
+LOSS_PAIRS = [
+    ("collisions", "collision", "base"),
+    ("captures", "capture", "base"),
+    ("half_duplex_losses", "half_duplex_loss", "base"),
+    ("frame_errors", "frame_error", "frame_error_rate"),
+    ("rate_losses", "rate_loss", "multi_rate"),
+    ("faults.burst_losses", "fault_burst_loss", "ge_bursts"),
+    ("faults.rx_dropped", "fault_rx_dropped", "churn"),
+]
+
+
+def _run(name="BMMM", seed=0, settings=SMALL, **kwargs):
     mac_cls, mac_kwargs = protocol_class(name)
-    return run_raw(mac_cls, SMALL, seed, mac_kwargs, **kwargs)
+    return run_raw(mac_cls, settings, seed, mac_kwargs, **kwargs)
 
 
 class TestTraceMatchesGroundTruth:
@@ -56,10 +87,23 @@ class TestTraceMatchesGroundTruth:
         assert from_trace == from_counters
 
     def test_collision_events_match_counter(self):
-        rec = TraceRecorder()
-        raw = _run("BMW", subscribers=[rec])
-        assert len(rec.by_type("collision")) == raw.counters.get("collisions")
-        assert len(rec.by_type("capture")) == raw.counters.get("captures")
+        """Every loss outcome's counter equals its event count, in total
+        and per node, on every run; each pair is also checked on a run
+        that fires it, so none holds vacuously."""
+        for label, (name, settings) in LOSS_RUNS.items():
+            rec = TraceRecorder()
+            raw = _run(name, settings=settings, subscribers=[rec])
+            for key, etype, fired_by in LOSS_PAIRS:
+                events = rec.by_type(etype)
+                assert len(events) == raw.counters.get(key), (label, key)
+                per_node = {
+                    node: counts[key]
+                    for node, counts in raw.counters.per_node.items()
+                    if counts.get(key)
+                }
+                assert Counter(e.node for e in events) == per_node, (label, key)
+                if fired_by == label:
+                    assert events, (label, key)
 
     def test_payloads_are_json_safe(self):
         rec = TraceRecorder()

@@ -77,7 +77,7 @@ class TestBsmaEdges:
         assert all(f.ftype is not FrameType.NAK for f in heard_at_sender), (
             "the collided NAKs must be inaudible to the sender"
         )
-        assert net.channel.stats.collisions >= 2
+        assert net.channel.counters.get("collisions") >= 2
 
 
 class TestBmwEdges:

@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import sweep
 from repro.serve import serve_campaign, work_campaign
 from repro.serve.service import ServeBackend, worker_stream_dir
 from repro.store.db import ResultStore, StoreError
@@ -26,7 +26,7 @@ from tests.serve.conftest import (
 @pytest.fixture(scope="module")
 def serial():
     """The ground truth: a plain serial sweep of the shared grid."""
-    return run_sweep(SCENARIO, POINTS)
+    return sweep(SCENARIO, POINTS)
 
 
 def _spawn_worker(store_path, campaign, results=None, **kwargs):
@@ -72,7 +72,7 @@ class TestBitIdentity:
         path = tmp_path / "s.sqlite"
         _spawn_worker(path, "c", worker_id="only")
         backend = ServeBackend(campaign="c", poll_s=0.02, wait_timeout=60.0)
-        result = run_sweep(
+        result = sweep(
             SCENARIO, POINTS, store=str(path), campaign="c", backend=backend
         )
         assert backend.workers_seen == 1
@@ -173,7 +173,7 @@ class TestKillCoordinator:
         """Restart after every cell committed: pure store hits, the
         lease queue never engages."""
         path = tmp_path / "s.sqlite"
-        run_sweep(SCENARIO, POINTS, store=str(path))
+        sweep(SCENARIO, POINTS, store=str(path))
         result = serve_campaign(
             SCENARIO, POINTS, store=str(path), campaign="c", wait_timeout=5.0
         )
@@ -192,7 +192,7 @@ class TestBackpressureAndErrors:
 
     def test_backend_requires_a_store(self):
         with pytest.raises(ValueError, match="store"):
-            run_sweep(SCENARIO, POINTS, backend=ServeBackend(campaign="c"))
+            sweep(SCENARIO, POINTS, backend=ServeBackend(campaign="c"))
 
     def test_worker_stream_dir_convention(self, tmp_path):
         assert worker_stream_dir(tmp_path / "s.sqlite").name == "s.sqlite.workers"

@@ -1,6 +1,4 @@
-"""Unit tests for frame abstractions (and the deprecated slot-constant shim)."""
-
-import warnings
+"""Unit tests for frame abstractions."""
 
 import pytest
 
@@ -82,26 +80,13 @@ class TestFrame:
 
 
 class TestDeprecatedConstants:
-    """The one-release shim for the retired module-global slot timings."""
-
-    @pytest.mark.parametrize("name,value", [("SIGNAL_SLOTS", 1), ("DATA_SLOTS", 5)])
-    def test_shim_warns_and_returns_single_rate_values(self, name, value):
-        import repro.sim.frames as frames
-
-        with pytest.warns(DeprecationWarning, match="PhyProfile"):
-            assert getattr(frames, name) == value
-
-    @pytest.mark.parametrize("name,value", [("SIGNAL_SLOTS", 1), ("DATA_SLOTS", 5)])
-    def test_sim_package_reexport_warns_too(self, name, value):
-        import repro.sim as sim
-
-        with pytest.warns(DeprecationWarning, match="PhyProfile"):
-            assert getattr(sim, name) == value
+    """The retired module-global slot timings are gone, not shimmed."""
 
     def test_unknown_attribute_still_raises(self):
+        import repro.sim as sim
         import repro.sim.frames as frames
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(AttributeError):
-                frames.NO_SUCH_CONSTANT
+        for module in (frames, sim):
+            for name in ("NO_SUCH_CONSTANT", "SIGNAL_SLOTS", "DATA_SLOTS"):
+                with pytest.raises(AttributeError):
+                    getattr(module, name)

@@ -133,18 +133,3 @@ class TestState:
         env.timeout(5).callbacks.append(lambda _e: states.append(r0.is_transmitting))
         env.run(until=10)
         assert states == [True, False]
-
-    def test_activity_rearmed_after_each_firing(self):
-        env, ch, r0, r1 = pair()
-        seen = []
-
-        def watch():
-            for _ in range(2):
-                tx = yield r0.activity
-                seen.append(env.now)
-
-        env.process(watch())
-        env.timeout(2).callbacks.append(lambda _e: ch.transmit(r1, rts(1, 0)))
-        env.timeout(7).callbacks.append(lambda _e: ch.transmit(r1, rts(1, 0)))
-        env.run(until=20)
-        assert seen == [2, 7]

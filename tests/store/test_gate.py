@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments.config import SimulationSettings
 from repro.experiments.scenario import Scenario
-from repro.experiments.sweep import run_sweep
+from repro.experiments.sweep import sweep
 from repro.faults.plan import FaultPlan, GilbertElliott, NodeChurn
 from repro.mac.contention import ContentionParams
 from repro.obs.manifest import settings_to_dict
@@ -33,7 +33,7 @@ def baseline():
     settings = SimulationSettings(n_nodes=8, horizon=300, message_rate=0.01)
     scenario = Scenario(settings=settings, protocols=("BMMM",), seeds=(0, 1))
     points = [settings, settings.with_(n_nodes=12)]
-    result = run_sweep(scenario, points, processes=0)
+    result = sweep(scenario, points, processes=0)
     return result.as_dict()
 
 
