@@ -10,6 +10,7 @@ Examples::
     repro-mac sweep --axis nodes --values 40,70,100 --seeds 5 --jobs 0
     repro-mac sweep --axis rate --seeds 20 --store results/store.sqlite
     repro-mac faults --axis burst --values 0,4,16,64 --seeds 3
+    repro-mac rate-sweep --profiles single,mild --protocols LAMM,RAM --seeds 3
     repro-mac gate --baseline results/sweep.json --store results/store.sqlite
     repro-mac bench-kernel --churn-events 100000 --out results/
     repro-mac sweep --seeds 5 --telemetry results/sweep.telemetry.jsonl
@@ -39,7 +40,7 @@ counters or throughput drifted beyond tolerance, writing a
 machine-readable ``GATE_<name>.json`` report.
 
 Campaign observability (``docs/telemetry.md``): ``--telemetry PATH`` on
-``sweep`` / ``faults`` streams live progress (cells done/pending,
+every grid subcommand streams live progress (cells done/pending,
 per-worker heartbeats, rolling slots/sec, ETA, per-cell phase spans) as
 append-only JSONL; ``repro-mac watch PATH`` tails and renders it (or
 ``--once`` for a post-hoc snapshot).  ``--mac-profile`` attaches the
@@ -59,9 +60,9 @@ maintenance view: cell counts by protocol and code fingerprint, hit
 totals, database size, queue backlog; prune evicts stale-fingerprint
 cells and vacuum compacts the file.
 
-Subcommands report user errors (unknown protocol, missing baseline or
-telemetry file, malformed JSON) as a one-line message on stderr and a
-nonzero exit code -- never a traceback.
+Every command reports user errors (unknown protocol, bad ``--seeds``,
+missing baseline or telemetry file, malformed JSON) as a one-line
+message on stderr and a nonzero exit code -- never a traceback.
 """
 
 from __future__ import annotations
@@ -218,14 +219,16 @@ def _run_one(name: str, args_ns) -> None:
 
 
 # --------------------------------------------------------------------------
-# `repro-mac sweep` -- run a protocols x points x seeds grid
+# The grid front end: `sweep`, `rate-sweep`, `faults` and `serve` share one
+# flag builder, one runner and one finisher; each keeps only its points,
+# its per-point lines and its extra payload / manifest keys.
 # --------------------------------------------------------------------------
 
-#: Sweep axes: flag value -> (settings field, value parser).
+#: Sweep axes: flag value -> (settings field, value parser, paper sweep).
 _SWEEP_AXES = {
-    "nodes": ("n_nodes", int),
-    "rate": ("message_rate", float),
-    "timeout": ("timeout_slots", float),
+    "nodes": ("n_nodes", int, F.DENSITY_SWEEP_NODES),
+    "rate": ("message_rate", float, F.RATE_SWEEP),
+    "timeout": ("timeout_slots", float, F.TIMEOUT_SWEEP),
 }
 
 
@@ -249,71 +252,67 @@ def _print_execution(result) -> None:
         )
 
 
-def build_sweep_parser() -> argparse.ArgumentParser:
-    """Argument parser for the ``repro-mac sweep`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-mac sweep",
-        description=(
-            "Run a protocols x points x seeds grid through the sweep engine: "
-            "one long-lived process pool, shared topology/schedule builds per "
-            "(point, seed) cell, bit-identical metrics to serial runs."
-        ),
-    )
+def _grid_parser(
+    command: str, description: str, *, name: str, protocols: str | None = None, axes: bool = False
+) -> argparse.ArgumentParser:
+    """The flags every grid subcommand shares; the caller adds its own.
+
+    *name* is the ``--name`` default, *protocols* the ``--protocols``
+    default (the paper's four otherwise); *axes* adds ``--axis`` /
+    ``--values`` over :data:`_SWEEP_AXES`.  ``serve`` dispatches through
+    the store's lease queue, so it has no ``--jobs`` and needs ``--store``.
+    """
+    serve = command == "serve"
+    parser = argparse.ArgumentParser(prog=f"repro-mac {command}", description=description)
+    if axes:
+        parser.add_argument(
+            "--axis", choices=sorted(_SWEEP_AXES), default="nodes",
+            help="which Table-2 parameter the points sweep (default: nodes)",
+        )
+        parser.add_argument(
+            "--values", default=None, metavar="V1,V2,...",
+            help="comma-separated sweep values (defaults: the paper's sweep "
+            "for the chosen axis)",
+        )
+    protocols = protocols or ",".join(paper_protocols())
     parser.add_argument(
-        "--axis",
-        choices=sorted(_SWEEP_AXES),
-        default="nodes",
-        help="which Table-2 parameter the points sweep (default: nodes)",
-    )
-    parser.add_argument(
-        "--values",
-        default=None,
-        metavar="V1,V2,...",
-        help="comma-separated sweep values (defaults: the paper's sweep "
-        "for the chosen axis)",
-    )
-    parser.add_argument(
-        "--protocols",
-        default=",".join(paper_protocols()),
-        metavar="P1,P2,...",
-        help=f"protocols to run (default: {','.join(paper_protocols())})",
+        "--protocols", default=protocols, metavar="P1,P2,...",
+        help=f"protocols to run (default: {protocols})",
     )
     parser.add_argument(
         "--seeds", type=int, default=3, metavar="N",
         help="seeded runs per (point, protocol) cell (paper: 100; default 3)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes (0 = one per CPU core, 1 = in-process; default 0)",
-    )
-    parser.add_argument(
-        "--chunksize", type=int, default=None, metavar="N",
-        help="jobs per pool chunk (default: whole (point, seed) cells)",
-    )
+    if not serve:
+        parser.add_argument(
+            "--jobs", type=int, default=0, metavar="N",
+            help="worker processes (0 = one per CPU core, 1 = in-process; default 0)",
+        )
     parser.add_argument(
         "--horizon", type=int, default=None, metavar="SLOTS",
         help="override simulation horizon at every point (smoke/CI runs)",
     )
     parser.add_argument(
-        "--name", default="sweep", metavar="NAME",
-        help="basename for the result/manifest/BENCH files (default: sweep)",
+        "--name", default=name, metavar="NAME",
+        help=f"basename for the result/manifest/BENCH files (default: {name})",
     )
     parser.add_argument(
         "--out", default="results", metavar="DIR",
         help="output directory (default results/)",
     )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="content-addressed results store (SQLite): skip cells already "
-        "computed under this settings digest + code fingerprint, commit "
-        "fresh cells as they finish so an interrupted campaign resumes",
-    )
-    _add_telemetry_arguments(parser)
-    return parser
-
-
-def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
-    """The campaign-observability flags shared by ``sweep`` and ``faults``."""
+    if serve:
+        parser.add_argument(
+            "--store", required=True, metavar="PATH",
+            help="the results store (SQLite): coordination substrate and "
+            "result sink; workers must point at the same file",
+        )
+    else:
+        parser.add_argument(
+            "--store", default=None, metavar="PATH",
+            help="content-addressed results store (SQLite): skip cells already "
+            "computed under this settings digest + code fingerprint, commit "
+            "fresh cells as they finish so an interrupted campaign resumes",
+        )
     parser.add_argument(
         "--telemetry", default=None, metavar="PATH",
         help="stream live campaign telemetry (append-only JSONL: progress, "
@@ -327,12 +326,76 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         "collection, ...), aggregated per protocol into the manifest; "
         "results stay bit-identical",
     )
+    return parser
 
 
-def _print_campaign_observability(result) -> None:
-    """Post-grid report of the ``--telemetry`` / ``--mac-profile`` flags."""
+def _base_settings(args) -> SimulationSettings:
+    """Table-2 settings plus the ``--nodes``/``--rate``/``--horizon`` overrides given."""
+    overrides = {
+        field: getattr(args, flag)
+        for flag, field in (("nodes", "n_nodes"), ("rate", "message_rate"), ("horizon", "horizon"))
+        if getattr(args, flag, None) is not None
+    }
+    return SimulationSettings(**overrides)
+
+
+def _run_grid(args, base: SimulationSettings, points, backend=None):
+    """Run *points* x ``--protocols`` x ``--seeds`` through the sweep engine.
+
+    ``serve`` passes its :class:`~repro.serve.service.ServeBackend`, whose
+    campaign names the grid; the others run on the local pool.
+    """
+    from repro.experiments.scenario import Scenario
+    from repro.experiments.sweep import sweep
+
+    scenario = Scenario(
+        settings=base,
+        protocols=tuple(p for p in args.protocols.split(",") if p),
+        seeds=tuple(range(args.seeds)),
+    )
+    return sweep(
+        scenario,
+        points,
+        processes=getattr(args, "jobs", 0) or None,
+        chunksize=getattr(args, "chunksize", None),
+        store=args.store,
+        telemetry=args.telemetry,
+        profile=args.mac_profile,
+        campaign=backend.campaign if backend else args.name,
+        backend=backend,
+    )
+
+
+def _print_means(result, idx: int) -> list:
+    """One line per protocol at point *idx*; returns the seed means."""
+    means = [result.mean(idx, proto) for proto in result.protocols]
+    for proto, mm in zip(result.protocols, means):
+        print(
+            f"  {proto:<10} delivery {mm.delivery_rate:6.3f}"
+            f"  phases {mm.avg_contention_phases:7.2f}"
+            f"  completion {mm.avg_completion_time:8.1f}"
+            f"  ({mm.n_runs} runs, {mm.n_requests} requests)"
+        )
+    return means
+
+
+def _finish_grid(args, result, *, payload=None, extra=None, note=None, bench=None) -> int:
+    """Report a finished grid and write its result, manifest and BENCH files.
+
+    *payload* keys join ``<name>.json`` and *extra* keys the manifest's
+    ``extra``; *note* is printed after the execution line; *bench* writes
+    the BENCH record (default: :func:`~repro.experiments.sweep.save_bench`).
+    """
+    from pathlib import Path
+
+    from repro.experiments.sweep import save_bench, sweep_manifest
     from repro.obs.profiler import format_phase_profile
 
+    print()
+    print(format_timings(result.timings, title=f"{args.name} phases"))
+    _print_execution(result)
+    if note:
+        print(note)
     if result.mac_profile:
         for proto in result.protocols:
             phases = result.mac_profile.get(proto)
@@ -341,69 +404,67 @@ def _print_campaign_observability(result) -> None:
     if result.telemetry_path is not None:
         print(f"[telemetry {result.telemetry_path}]")
 
-
-def _sweep_main(argv: list[str]) -> int:
-    from pathlib import Path
-
-    from repro.experiments.figures import DENSITY_SWEEP_NODES, RATE_SWEEP, TIMEOUT_SWEEP
-    from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import save_bench, sweep, sweep_manifest
-
-    args = build_sweep_parser().parse_args(argv)
-    field, parse = _SWEEP_AXES[args.axis]
-    defaults = {"nodes": DENSITY_SWEEP_NODES, "rate": RATE_SWEEP, "timeout": TIMEOUT_SWEEP}
-    values = (
-        [parse(v) for v in args.values.split(",") if v]
-        if args.values
-        else list(defaults[args.axis])
-    )
-    base = SimulationSettings()
-    if args.horizon is not None:
-        base = base.with_(horizon=args.horizon)
-    points = [base.with_(**{field: v}) for v in values]
-    protocols = [p for p in args.protocols.split(",") if p]
-
-    scenario = Scenario(
-        settings=base, protocols=tuple(protocols), seeds=tuple(range(args.seeds))
-    )
-    result = sweep(
-        scenario,
-        points,
-        processes=args.jobs or None,
-        chunksize=args.chunksize,
-        store=args.store,
-        telemetry=args.telemetry,
-        profile=args.mac_profile,
-        campaign=args.name,
-    )
-
-    for idx, value in enumerate(values):
-        print(f"== {args.axis} = {value} (mean degree {sum(result.point_degrees(idx)) / len(result.point_degrees(idx)):.2f}) ==")
-        for proto in protocols:
-            mm = result.mean(idx, proto)
-            print(
-                f"  {proto:<10} delivery {mm.delivery_rate:6.3f}"
-                f"  phases {mm.avg_contention_phases:7.2f}"
-                f"  completion {mm.avg_completion_time:8.1f}"
-                f"  ({mm.n_runs} runs, {mm.n_requests} requests)"
-            )
-    print()
-    print(format_timings(result.timings, title=f"{args.name} phases"))
-    _print_execution(result)
-    _print_campaign_observability(result)
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result_path = out_dir / f"{args.name}.json"
-    result_path.write_text(json.dumps(result.as_dict(), indent=2, default=str))
+    result_path.write_text(
+        json.dumps({**result.as_dict(), **(payload or {})}, indent=2, default=str)
+    )
     manifest = sweep_manifest(result, name=args.name)
+    manifest.extra.update(extra or {})
     manifest_path = manifest.save(out_dir / f"{args.name}.manifest.json")
-    bench_path = save_bench(result, args.name, out_dir)
+    bench_path = (bench or save_bench)(result, args.name, out_dir)
     print(format_counters(manifest.counters, title="grid counter totals"))
     print(f"[results {result_path}]")
     print(f"[manifest {manifest_path}]")
     print(f"[bench {bench_path}]")
     return 0
+
+
+def _axis_points(args, base: SimulationSettings):
+    """``sweep`` / ``serve``: the ``--axis`` values and their settings."""
+    field, parse, paper = _SWEEP_AXES[args.axis]
+    values = [parse(v) for v in args.values.split(",") if v] if args.values else list(paper)
+    return values, [base.with_(**{field: v}) for v in values]
+
+
+def _print_axis_points(result, axis: str, values) -> None:
+    """``sweep`` / ``serve``: per-point header with mean degree, then means."""
+    for idx, value in enumerate(values):
+        degrees = result.point_degrees(idx)
+        print(f"== {axis} = {value} (mean degree {sum(degrees) / len(degrees):.2f}) ==")
+        _print_means(result, idx)
+
+
+# --------------------------------------------------------------------------
+# `repro-mac sweep` -- run a protocols x points x seeds grid
+# --------------------------------------------------------------------------
+
+
+def build_sweep_parser() -> argparse.ArgumentParser:
+    """Argument parser for the ``repro-mac sweep`` subcommand."""
+    parser = _grid_parser(
+        "sweep",
+        "Run a protocols x points x seeds grid through the sweep engine: "
+        "one long-lived process pool, shared topology/schedule builds per "
+        "(point, seed) cell, bit-identical metrics to serial runs.",
+        name="sweep",
+        axes=True,
+    )
+    parser.add_argument(
+        "--chunksize", type=int, default=None, metavar="N",
+        help="jobs per pool chunk (default: whole (point, seed) cells)",
+    )
+    return parser
+
+
+def _sweep_main(argv: list[str]) -> int:
+    args = build_sweep_parser().parse_args(argv)
+    base = _base_settings(args)
+    values, points = _axis_points(args, base)
+    result = _run_grid(args, base, points)
+    _print_axis_points(result, args.axis, values)
+    return _finish_grid(args, result)
 
 
 # --------------------------------------------------------------------------
@@ -415,98 +476,39 @@ def build_rate_sweep_parser() -> argparse.ArgumentParser:
     """Argument parser for the ``repro-mac rate-sweep`` subcommand."""
     from repro.experiments.ratesweep import RATE_PROFILES, RATE_SWEEP_PROTOCOLS
 
-    parser = argparse.ArgumentParser(
-        prog="repro-mac rate-sweep",
-        description=(
-            "Rate sweep: run the same Table-2 world under widening PHY rate "
-            "tables (single-rate up to an aggressive 3-tier MCS spread) and "
-            "compare fixed-rate vs. rate-adaptive multicast -- delivered "
-            "throughput against reliability.  Writes BENCH_<name>.json."
-        ),
+    parser = _grid_parser(
+        "rate-sweep",
+        "Rate sweep: run the same Table-2 world under widening PHY rate "
+        "tables (single-rate up to an aggressive 3-tier MCS spread) and "
+        "compare fixed-rate vs. rate-adaptive multicast -- delivered "
+        "throughput against reliability.  Writes BENCH_<name>.json.",
+        name="rate",
+        protocols=",".join(RATE_SWEEP_PROTOCOLS),
     )
     parser.add_argument(
-        "--profiles",
-        default=",".join(RATE_PROFILES),
-        metavar="P1,P2,...",
+        "--profiles", default=",".join(RATE_PROFILES), metavar="P1,P2,...",
         help=f"rate profiles to sweep (default: {','.join(RATE_PROFILES)})",
-    )
-    parser.add_argument(
-        "--protocols",
-        default=",".join(RATE_SWEEP_PROTOCOLS),
-        metavar="P1,P2,...",
-        help=f"protocols to run (default: {','.join(RATE_SWEEP_PROTOCOLS)})",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=3, metavar="N",
-        help="seeded runs per (profile, protocol) cell (default 3)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes (0 = one per CPU core, 1 = in-process; default 0)",
     )
     parser.add_argument(
         "--nodes", type=int, default=None, metavar="N", help="override node count"
     )
-    parser.add_argument(
-        "--horizon", type=int, default=None, metavar="SLOTS",
-        help="override simulation horizon at every point (smoke/CI runs)",
-    )
-    parser.add_argument(
-        "--name", default="rate", metavar="NAME",
-        help="basename for the result/manifest/BENCH files (default: rate)",
-    )
-    parser.add_argument(
-        "--out", default="results", metavar="DIR",
-        help="output directory (default results/)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="content-addressed results store (SQLite); same semantics as "
-        "'repro-mac sweep --store'",
-    )
-    _add_telemetry_arguments(parser)
     return parser
 
 
 def _rate_sweep_main(argv: list[str]) -> int:
-    from pathlib import Path
-
-    from repro.experiments.ratesweep import (
-        RATE_PROFILES,
-        rate_bench_record,
-        run_rate_sweep,
-        save_rate_bench,
-    )
-    from repro.experiments.sweep import sweep_manifest
+    from repro.experiments.ratesweep import RATE_PROFILES, rate_bench_record, save_rate_bench
 
     args = build_rate_sweep_parser().parse_args(argv)
-    profile_names = [p for p in args.profiles.split(",") if p]
-    unknown = [p for p in profile_names if p not in RATE_PROFILES]
+    names = list(dict.fromkeys(p for p in args.profiles.split(",") if p))
+    unknown = [p for p in names if p not in RATE_PROFILES]
     if unknown:
         raise KeyError(
             f"unknown rate profile(s) {unknown}; choose from {sorted(RATE_PROFILES)}"
         )
-    overrides = {}
-    if args.nodes is not None:
-        overrides["n_nodes"] = args.nodes
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    base = SimulationSettings(**overrides)
-    protocols = [p for p in args.protocols.split(",") if p]
-    result, names = run_rate_sweep(
-        base,
-        protocols=protocols,
-        profiles={n: RATE_PROFILES[n] for n in profile_names},
-        seeds=tuple(range(args.seeds)),
-        processes=args.jobs or None,
-        store=args.store,
-        telemetry=args.telemetry,
-        profile=args.mac_profile,
-        campaign=args.name,
-    )
+    base = _base_settings(args)
+    result = _run_grid(args, base, [base.with_(phy=RATE_PROFILES[n]) for n in names])
 
-    record = rate_bench_record(result, names, name=args.name)
-    for cell in record["cells"]:
+    for cell in rate_bench_record(result, names, name=args.name)["cells"]:
         print(
             f"== {cell['profile']:<10} {cell['protocol']:<6}"
             f"  delivery {cell['delivery_rate']:6.3f}"
@@ -514,25 +516,13 @@ def _rate_sweep_main(argv: list[str]) -> int:
             f"  completion {cell['avg_completion_time']:8.1f}"
             f"  ({cell['n_runs']} runs)"
         )
-    print()
-    print(format_timings(result.timings, title=f"{args.name} phases"))
-    _print_execution(result)
-    _print_campaign_observability(result)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = result.as_dict()
-    payload["rate_profiles"] = names
-    result_path = out_dir / f"{args.name}.json"
-    result_path.write_text(json.dumps(payload, indent=2, default=str))
-    manifest = sweep_manifest(result, name=args.name)
-    manifest.extra.update({"kind": "rate-sweep", "rate_profiles": names})
-    manifest_path = manifest.save(out_dir / f"{args.name}.manifest.json")
-    bench_path = save_rate_bench(result, names, out_dir, name=args.name)
-    print(f"[results {result_path}]")
-    print(f"[manifest {manifest_path}]")
-    print(f"[bench {bench_path}]")
-    return 0
+    return _finish_grid(
+        args,
+        result,
+        payload={"rate_profiles": names},
+        extra={"kind": "rate-sweep", "rate_profiles": names},
+        bench=lambda result, name, out_dir: save_rate_bench(result, names, out_dir, name=name),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -544,24 +534,19 @@ def build_faults_parser() -> argparse.ArgumentParser:
     """Argument parser for the ``repro-mac faults`` subcommand."""
     from repro.experiments.degradation import FAULT_AXES
 
-    parser = argparse.ArgumentParser(
-        prog="repro-mac faults",
-        description=(
-            "Degradation study: sweep one fault axis (Gilbert-Elliott burst "
-            "length, node-churn rate, or location-error sigma) through the "
-            "sweep engine and report delivery/contention decay per protocol."
-        ),
+    parser = _grid_parser(
+        "faults",
+        "Degradation study: sweep one fault axis (Gilbert-Elliott burst "
+        "length, node-churn rate, or location-error sigma) through the "
+        "sweep engine and report delivery/contention decay per protocol.",
+        name="faults",
     )
     parser.add_argument(
-        "--axis",
-        choices=sorted(FAULT_AXES),
-        default="burst",
+        "--axis", choices=sorted(FAULT_AXES), default="burst",
         help="which impairment the points sweep (default: burst)",
     )
     parser.add_argument(
-        "--values",
-        default=None,
-        metavar="V1,V2,...",
+        "--values", default=None, metavar="V1,V2,...",
         help="comma-separated axis values (default: the study's grid for "
         "the chosen axis; 0 = benign baseline point)",
     )
@@ -584,44 +569,12 @@ def build_faults_parser() -> argparse.ArgumentParser:
         help="per-receiver retry cap at every point (0 = never; default 0)",
     )
     parser.add_argument(
-        "--protocols",
-        default=",".join(paper_protocols()),
-        metavar="P1,P2,...",
-        help=f"protocols to run (default: {','.join(paper_protocols())})",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=3, metavar="N",
-        help="seeded runs per (point, protocol) cell (default 3)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="worker processes (0 = one per CPU core, 1 = in-process; default 0)",
-    )
-    parser.add_argument(
         "--nodes", type=int, default=None, metavar="N", help="override node count"
     )
     parser.add_argument(
         "--rate", type=float, default=None, metavar="R",
         help="override message generation rate",
     )
-    parser.add_argument(
-        "--horizon", type=int, default=None, metavar="SLOTS",
-        help="override simulation horizon at every point (smoke/CI runs)",
-    )
-    parser.add_argument(
-        "--name", default="faults", metavar="NAME",
-        help="basename for the result/manifest/BENCH files (default: faults)",
-    )
-    parser.add_argument(
-        "--out", default="results", metavar="DIR",
-        help="output directory (default results/)",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="content-addressed results store (SQLite); same semantics as "
-        "'repro-mac sweep --store'",
-    )
-    _add_telemetry_arguments(parser)
     return parser
 
 
@@ -638,11 +591,7 @@ _FAULT_COUNTER_KEYS = (
 
 
 def _faults_main(argv: list[str]) -> int:
-    from pathlib import Path
-
     from repro.experiments.degradation import FAULT_AXES, degradation_points, fault_plan_for
-    from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import save_bench, sweep, sweep_manifest
     from repro.faults import FaultPlan
 
     args = build_faults_parser().parse_args(argv)
@@ -651,19 +600,12 @@ def _faults_main(argv: list[str]) -> int:
         if args.values
         else list(FAULT_AXES[args.axis])
     )
-    overrides = {}
-    if args.nodes is not None:
-        overrides["n_nodes"] = args.nodes
-    if args.rate is not None:
-        overrides["message_rate"] = args.rate
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
     base_plan = FaultPlan(receiver_give_up=args.give_up)
     if args.base_burst > 0:
         base_plan = fault_plan_for(
             "burst", args.base_burst, stationary_loss=args.burst_loss, base=base_plan
         )
-    base = SimulationSettings(**overrides).with_(faults=base_plan)
+    base = _base_settings(args).with_(faults=base_plan)
     points = degradation_points(
         base,
         args.axis,
@@ -671,56 +613,21 @@ def _faults_main(argv: list[str]) -> int:
         stationary_loss=args.burst_loss,
         mean_downtime=args.downtime,
     )
-    protocols = [p for p in args.protocols.split(",") if p]
-    scenario = Scenario(
-        settings=base, protocols=tuple(protocols), seeds=tuple(range(args.seeds))
-    )
-    result = sweep(
-        scenario,
-        points,
-        processes=args.jobs or None,
-        store=args.store,
-        telemetry=args.telemetry,
-        profile=args.mac_profile,
-        campaign=args.name,
-    )
+    result = _run_grid(args, base, points)
 
     for idx, value in enumerate(values):
         print(f"== {args.axis} = {value:g} ==")
-        point_counters: dict[str, int] = {}
-        for proto in protocols:
-            mm = result.mean(idx, proto)
-            print(
-                f"  {proto:<10} delivery {mm.delivery_rate:6.3f}"
-                f"  phases {mm.avg_contention_phases:7.2f}"
-                f"  completion {mm.avg_completion_time:8.1f}"
-                f"  ({mm.n_runs} runs, {mm.n_requests} requests)"
-            )
-            for key, n in mm.counters.items():
-                point_counters[key] = point_counters.get(key, 0) + n
-        hits = {k: point_counters[k] for k in _FAULT_COUNTER_KEYS if point_counters.get(k)}
+        means = _print_means(result, idx)
+        totals = {k: sum(mm.counters.get(k, 0) for mm in means) for k in _FAULT_COUNTER_KEYS}
+        hits = {k: n for k, n in totals.items() if n}
         if hits:
             print("  faults: " + "  ".join(f"{k.split('.', 1)[1]}={n}" for k, n in hits.items()))
-    print()
-    print(format_timings(result.timings, title=f"{args.name} phases"))
-    _print_execution(result)
-    _print_campaign_observability(result)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = result.as_dict()
-    payload["fault_axis"] = {"axis": args.axis, "values": values}
-    result_path = out_dir / f"{args.name}.json"
-    result_path.write_text(json.dumps(payload, indent=2, default=str))
-    manifest = sweep_manifest(result, name=args.name)
-    manifest.extra.update({"kind": "faults", "fault_axis": args.axis, "fault_values": values})
-    manifest_path = manifest.save(out_dir / f"{args.name}.manifest.json")
-    bench_path = save_bench(result, args.name, out_dir)
-    print(format_counters(manifest.counters, title="grid counter totals"))
-    print(f"[results {result_path}]")
-    print(f"[manifest {manifest_path}]")
-    print(f"[bench {bench_path}]")
-    return 0
+    return _finish_grid(
+        args,
+        result,
+        payload={"fault_axis": {"axis": args.axis, "values": values}},
+        extra={"kind": "faults", "fault_axis": args.axis, "fault_values": values},
+    )
 
 
 # --------------------------------------------------------------------------
@@ -929,7 +836,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
 def _trace_main(argv: list[str]) -> int:
     from pathlib import Path
 
-    from repro.experiments.config import SimulationSettings, protocol_class
+    from repro.experiments.config import protocol_class
     from repro.experiments.runner import run_raw
     from repro.obs.trace import (
         JsonlTraceWriter,
@@ -940,14 +847,7 @@ def _trace_main(argv: list[str]) -> int:
     from repro.sim.trace import lane_diagram
 
     args = build_trace_parser().parse_args(argv)
-    overrides = {}
-    if args.nodes is not None:
-        overrides["n_nodes"] = args.nodes
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.rate is not None:
-        overrides["message_rate"] = args.rate
-    settings = SimulationSettings().with_(**overrides) if overrides else SimulationSettings()
+    settings = _base_settings(args)
     mac_cls, kwargs = protocol_class(args.protocol)
 
     out_dir = Path(args.out)
@@ -1046,49 +946,17 @@ def _watch_main(argv: list[str]) -> int:
 
 def build_serve_parser() -> argparse.ArgumentParser:
     """Argument parser for the ``repro-mac serve`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="repro-mac serve",
-        description=(
-            "Coordinate a distributed campaign: plan the same grid as "
-            "'repro-mac sweep', enqueue pending cells into the results "
-            "store's lease queue, and merge results committed by 'repro-mac "
-            "work' processes (local via --workers, or on any host sharing "
-            "the store) in planned-job order -- bit-identical to a serial "
-            "run.  Killed workers' leases expire and are reclaimed; "
-            "rerunning a killed coordinator recomputes nothing."
-        ),
-    )
-    parser.add_argument(
-        "--store", required=True, metavar="PATH",
-        help="the results store (SQLite): coordination substrate and "
-        "result sink; workers must point at the same file",
-    )
-    parser.add_argument(
-        "--axis",
-        choices=sorted(_SWEEP_AXES),
-        default="nodes",
-        help="which Table-2 parameter the points sweep (default: nodes)",
-    )
-    parser.add_argument(
-        "--values",
-        default=None,
-        metavar="V1,V2,...",
-        help="comma-separated sweep values (defaults: the paper's sweep "
-        "for the chosen axis)",
-    )
-    parser.add_argument(
-        "--protocols",
-        default=",".join(paper_protocols()),
-        metavar="P1,P2,...",
-        help=f"protocols to run (default: {','.join(paper_protocols())})",
-    )
-    parser.add_argument(
-        "--seeds", type=int, default=3, metavar="N",
-        help="seeded runs per (point, protocol) cell (default 3)",
-    )
-    parser.add_argument(
-        "--horizon", type=int, default=None, metavar="SLOTS",
-        help="override simulation horizon at every point (smoke/CI runs)",
+    parser = _grid_parser(
+        "serve",
+        "Coordinate a distributed campaign: plan the same grid as "
+        "'repro-mac sweep', enqueue pending cells into the results "
+        "store's lease queue, and merge results committed by 'repro-mac "
+        "work' processes (local via --workers, or on any host sharing "
+        "the store) in planned-job order -- bit-identical to a serial "
+        "run.  Killed workers' leases expire and are reclaimed; "
+        "rerunning a killed coordinator recomputes nothing.",
+        name="serve",
+        axes=True,
     )
     parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
@@ -1120,101 +988,39 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="directory for per-worker telemetry streams (default: "
         "<store>.workers/)",
     )
-    parser.add_argument(
-        "--name", default="serve", metavar="NAME",
-        help="basename for the result/manifest/BENCH files (default: serve)",
-    )
-    parser.add_argument(
-        "--out", default="results", metavar="DIR",
-        help="output directory (default results/)",
-    )
-    _add_telemetry_arguments(parser)
     return parser
 
 
 def _serve_main(argv: list[str]) -> int:
-    from pathlib import Path
-
-    from repro.experiments.figures import DENSITY_SWEEP_NODES, RATE_SWEEP, TIMEOUT_SWEEP
-    from repro.experiments.scenario import Scenario
-    from repro.experiments.sweep import save_bench, sweep, sweep_manifest
     from repro.serve.service import ServeBackend
 
     args = build_serve_parser().parse_args(argv)
-    field, parse = _SWEEP_AXES[args.axis]
-    defaults = {"nodes": DENSITY_SWEEP_NODES, "rate": RATE_SWEEP, "timeout": TIMEOUT_SWEEP}
-    values = (
-        [parse(v) for v in args.values.split(",") if v]
-        if args.values
-        else list(defaults[args.axis])
-    )
-    base = SimulationSettings()
-    if args.horizon is not None:
-        base = base.with_(horizon=args.horizon)
-    points = [base.with_(**{field: v}) for v in values]
-    protocols = [p for p in args.protocols.split(",") if p]
-    campaign = args.campaign or args.name
-
-    scenario = Scenario(
-        settings=base, protocols=tuple(protocols), seeds=tuple(range(args.seeds))
-    )
+    base = _base_settings(args)
+    values, points = _axis_points(args, base)
     backend = ServeBackend(
-        campaign=campaign,
+        campaign=args.campaign or args.name,
         lease_ttl=args.lease_ttl,
         poll_s=args.poll,
         spawn_workers=args.workers,
         wait_timeout=args.wait_timeout,
         worker_dir=args.worker_dir,
     )
-    result = sweep(
-        scenario,
-        points,
-        store=args.store,
-        telemetry=args.telemetry,
-        profile=args.mac_profile,
-        campaign=campaign,
-        backend=backend,
-    )
-
-    for idx, value in enumerate(values):
-        print(f"== {args.axis} = {value} (mean degree {sum(result.point_degrees(idx)) / len(result.point_degrees(idx)):.2f}) ==")
-        for proto in protocols:
-            mm = result.mean(idx, proto)
-            print(
-                f"  {proto:<10} delivery {mm.delivery_rate:6.3f}"
-                f"  phases {mm.avg_contention_phases:7.2f}"
-                f"  completion {mm.avg_completion_time:8.1f}"
-                f"  ({mm.n_runs} runs, {mm.n_requests} requests)"
-            )
-    print()
-    print(format_timings(result.timings, title=f"{args.name} phases"))
-    _print_execution(result)
-    print(
-        f"[campaign {campaign}: {backend.workers_seen} workers, "
-        f"{backend.reclaimed} leases reclaimed]"
-    )
-    _print_campaign_observability(result)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result_path = out_dir / f"{args.name}.json"
-    result_path.write_text(json.dumps(result.as_dict(), indent=2, default=str))
-    manifest = sweep_manifest(result, name=args.name)
-    manifest.extra.update(
-        {
+    result = _run_grid(args, base, points, backend=backend)
+    _print_axis_points(result, args.axis, values)
+    return _finish_grid(
+        args,
+        result,
+        note=(
+            f"[campaign {backend.campaign}: {backend.workers_seen} workers, "
+            f"{backend.reclaimed} leases reclaimed]"
+        ),
+        extra={
             "kind": "serve",
-            "campaign": campaign,
+            "campaign": backend.campaign,
             "workers_seen": backend.workers_seen,
             "leases_reclaimed": backend.reclaimed,
-        }
+        },
     )
-    manifest_path = manifest.save(out_dir / f"{args.name}.manifest.json")
-    bench_path = save_bench(result, args.name, out_dir)
-    print(format_counters(manifest.counters, title="grid counter totals"))
-    print(f"[results {result_path}]")
-    print(f"[manifest {manifest_path}]")
-    print(f"[bench {bench_path}]")
-    return 0
 
 
 def build_work_parser() -> argparse.ArgumentParser:
@@ -1439,9 +1245,9 @@ _SUBCOMMANDS = {
 
 
 def _run_subcommand(func, argv: list[str]) -> int:
-    """Run a subcommand, turning user errors into one-line messages.
+    """Run a command, turning user errors into one-line messages.
 
-    Unknown protocol names (:func:`protocol_class` raises ``KeyError``),
+    Bad ``--seeds`` / ``--jobs`` values, unknown protocol names (:func:`protocol_class` raises ``KeyError``),
     missing or malformed baseline / telemetry / trace files, schema
     mismatches and stalled / misaddressed campaigns (``StoreError``) all
     surface as ``repro-mac: error: ...`` on stderr with exit code 2 -- a
@@ -1466,6 +1272,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] in _SUBCOMMANDS:
         return _run_subcommand(_SUBCOMMANDS[argv[0]], argv[1:])
+    return _run_subcommand(_experiments_main, argv)
+
+
+def _experiments_main(argv: list[str]) -> int:
+    """The table/figure path: one experiment, ``all``, or ``report``."""
     args = build_parser().parse_args(argv)
     if args.experiment == "report":
         from repro.experiments.fullreport import generate_report

@@ -1,9 +1,11 @@
 """Tests for the CLI and report rendering."""
 
+import argparse
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import (
     EXPERIMENTS,
     build_faults_parser,
@@ -22,6 +24,158 @@ from repro.experiments.report import (
     format_table1,
     save_json,
 )
+
+
+#: Every parser's flag surface: option -> (dest, default, type, choices,
+#: required, metavar).  Positionals are keyed by their dest.  A change here
+#: is a change users see, so the grid subcommands' shared flag builder must
+#: reproduce each subcommand's flags exactly.
+_PAPER = "BMW,BSMA,BMMM,LAMM"
+_SWEEP_AXIS = ("axis", "nodes", None, ("nodes", "rate", "timeout"), False, None)
+_GRID_TAIL = {
+    "--values": ("values", None, None, None, False, "V1,V2,..."),
+    "--seeds": ("seeds", 3, int, None, False, "N"),
+    "--horizon": ("horizon", None, int, None, False, "SLOTS"),
+    "--out": ("out", "results", None, None, False, "DIR"),
+    "--telemetry": ("telemetry", None, None, None, False, "PATH"),
+    "--mac-profile": ("mac_profile", False, None, None, False, None),
+}
+_JOBS = {"--jobs": ("jobs", 0, int, None, False, "N")}
+_STORE = {"--store": ("store", None, None, None, False, "PATH")}
+_NODES = {"--nodes": ("nodes", None, int, None, False, "N")}
+FLAG_SURFACES = {
+    "build_parser": {
+        "experiment": ("experiment", None, None, (
+            "figure2", "figure5", "table1", "figure10a", "figure10b", "figure6a", "figure6b",
+            "figure7", "figure8", "figure9a", "figure9b", "all", "report",
+        ), True, None),
+        "--seeds": ("seeds", 3, int, None, False, "N"),
+        "--out": ("out", None, None, None, False, "DIR"),
+        "--chart": ("chart", False, None, None, False, None),
+        "--jobs": ("jobs", 1, int, None, False, "N"),
+        "--profile": ("profile", False, None, None, False, None),
+    },
+    "build_trace_parser": {
+        "figure": ("figure", None, None, ("figure10a", "figure10b", "figure6a", "figure6b",
+                                          "figure7", "figure8", "figure9a", "figure9b"),
+                   True, None),
+        "--seed": ("seed", 0, int, None, False, "S"),
+        "--protocol": ("protocol", "BMMM", None, None, False, "NAME"),
+        "--out": ("out", "results", None, None, False, "DIR"),
+        **_NODES,
+        "--horizon": ("horizon", None, int, None, False, "SLOTS"),
+        "--rate": ("rate", None, float, None, False, "R"),
+        "--lane-width": ("lane_width", 120, int, None, False, "SLOTS"),
+        "--profile": ("profile", False, None, None, False, None),
+    },
+    "build_sweep_parser": {
+        "--axis": _SWEEP_AXIS,
+        "--protocols": ("protocols", _PAPER, None, None, False, "P1,P2,..."),
+        "--chunksize": ("chunksize", None, int, None, False, "N"),
+        "--name": ("name", "sweep", None, None, False, "NAME"),
+        **_GRID_TAIL, **_JOBS, **_STORE,
+    },
+    "build_rate_sweep_parser": {
+        "--profiles": ("profiles", "single,mild,aggressive", None, None, False, "P1,P2,..."),
+        "--protocols": ("protocols", "LAMM,RAM", None, None, False, "P1,P2,..."),
+        "--name": ("name", "rate", None, None, False, "NAME"),
+        **{k: v for k, v in _GRID_TAIL.items() if k != "--values"},
+        **_JOBS, **_STORE, **_NODES,
+    },
+    "build_faults_parser": {
+        "--axis": ("axis", "burst", None, ("burst", "churn", "sigma"), False, None),
+        "--burst-loss": ("burst_loss", 0.2, float, None, False, "P"),
+        "--base-burst": ("base_burst", 0.0, float, None, False, "SLOTS"),
+        "--downtime": ("downtime", 200.0, float, None, False, "SLOTS"),
+        "--give-up": ("give_up", 0, int, None, False, "N"),
+        "--protocols": ("protocols", _PAPER, None, None, False, "P1,P2,..."),
+        "--rate": ("rate", None, float, None, False, "R"),
+        "--name": ("name", "faults", None, None, False, "NAME"),
+        **_GRID_TAIL, **_JOBS, **_STORE, **_NODES,
+    },
+    "build_gate_parser": {
+        "--baseline": ("baseline", None, None, None, True, "REF"),
+        **_STORE, **_JOBS,
+        "--metric-tol": ("metric_tol", 0.0, float, None, False, "REL"),
+        "--bench-tol": ("bench_tol", 0.25, float, None, False, "FRAC"),
+        "--no-counters": ("no_counters", False, None, None, False, None),
+        "--name": ("name", "gate", None, None, False, "NAME"),
+        "--out": ("out", "results", None, None, False, "DIR"),
+    },
+    "build_bench_kernel_parser": {
+        "--churn-events": ("churn_events", 200_000, int, None, False, "N"),
+        "--protocol": ("protocol", "BMMM", None, None, False, "NAME"),
+        "--name": ("name", "kernel", None, None, False, "NAME"),
+        "--repeat": ("repeat", 1, int, None, False, "N"),
+        "--out": ("out", "results", None, None, False, "DIR"),
+    },
+    "build_watch_parser": {
+        "stream": ("stream", None, None, None, True, "FILE"),
+        "--once": ("once", False, None, None, False, None),
+        "--interval": ("interval", 1.0, float, None, False, "S"),
+    },
+    "build_serve_parser": {
+        "--store": ("store", None, None, None, True, "PATH"),
+        "--axis": _SWEEP_AXIS,
+        "--protocols": ("protocols", _PAPER, None, None, False, "P1,P2,..."),
+        "--workers": ("workers", 0, int, None, False, "N"),
+        "--campaign": ("campaign", None, None, None, False, "NAME"),
+        "--lease-ttl": ("lease_ttl", 30.0, float, None, False, "S"),
+        "--poll": ("poll", 0.5, float, None, False, "S"),
+        "--wait-timeout": ("wait_timeout", None, float, None, False, "S"),
+        "--worker-dir": ("worker_dir", None, None, None, False, "DIR"),
+        "--name": ("name", "serve", None, None, False, "NAME"),
+        **_GRID_TAIL,
+    },
+    "build_work_parser": {
+        "--store": ("store", None, None, None, True, "PATH"),
+        "--campaign": ("campaign", None, None, None, True, "NAME"),
+        "--id": ("id", None, None, None, False, "WID"),
+        "--batch": ("batch", 0, int, None, False, "N"),
+        "--lease-ttl": ("lease_ttl", 30.0, float, None, False, "S"),
+        "--poll": ("poll", 0.2, float, None, False, "S"),
+        "--max-cells": ("max_cells", None, int, None, False, "N"),
+        "--idle-timeout": ("idle_timeout", None, float, None, False, "S"),
+        "--commit-every": ("commit_every", 1, int, None, False, "N"),
+        "--telemetry-dir": ("telemetry_dir", None, None, None, False, "DIR"),
+    },
+    "build_store_parser": {
+        "action": ("action", None, None, ("stats", "prune", "vacuum"), True, None),
+        "store": ("store", None, None, None, True, "PATH"),
+        "--json": ("json", False, None, None, False, None),
+        "--keep-fingerprint": ("keep_fingerprint", None, None, None, False, "FP"),
+        "--vacuum": ("also_vacuum", False, None, None, False, None),
+    },
+}
+
+
+class TestFlagSurface:
+    """Every parser keeps its exact flags, defaults, types and choices."""
+
+    def test_every_parser_is_pinned(self):
+        builders = {n for n in cli.__all__ if n.startswith("build_")}
+        assert builders == set(FLAG_SURFACES)
+
+    @pytest.mark.parametrize("builder", sorted(FLAG_SURFACES))
+    def test_flag_surface(self, builder):
+        parser = getattr(cli, builder)()
+        surface = {
+            (a.option_strings[0] if a.option_strings else a.dest): (
+                a.dest,
+                a.default,
+                a.type,
+                tuple(a.choices) if a.choices else None,
+                a.required,
+                a.metavar,
+            )
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert all(
+            len(a.option_strings) <= 1 for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        )
+        assert surface == FLAG_SURFACES[builder]
 
 
 class TestParser:
@@ -234,6 +388,52 @@ class TestSweepSubcommand:
         bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
         assert bench["kind"] == "sweep-bench"
         assert bench["grid"]["n_jobs"] == 2 * 2 * 2
+
+
+class TestRateSweepSubcommand:
+    def test_rate_sweep_smoke(self, tmp_path, capsys):
+        """End-to-end: the CI rate-smoke invocation, shrunk."""
+        from repro.obs.manifest import load_manifest
+
+        code = main(
+            [
+                "rate-sweep",
+                "--profiles", "single,mild",
+                "--protocols", "LAMM,RAM",
+                "--seeds", "2",
+                "--jobs", "1",
+                "--nodes", "20",
+                "--horizon", "500",
+                "--name", "rate",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "== single" in out and "== mild" in out
+        assert "world cache" in out
+
+        payload = json.loads((tmp_path / "rate.json").read_text())
+        assert payload["rate_profiles"] == ["single", "mild"]
+        assert len(payload["points"]) == 2
+        manifest = load_manifest(tmp_path / "rate.manifest.json")
+        assert manifest.extra["kind"] == "rate-sweep"
+        assert manifest.extra["rate_profiles"] == ["single", "mild"]
+        bench = json.loads((tmp_path / "BENCH_rate.json").read_text())
+        cells = sorted((c["profile"], c["protocol"]) for c in bench["cells"])
+        assert cells == [
+            ("mild", "LAMM"), ("mild", "RAM"), ("single", "LAMM"), ("single", "RAM"),
+        ]
+
+    def test_unknown_profile_is_a_user_error(self, tmp_path, capsys):
+        code = main(
+            ["rate-sweep", "--profiles", "bogus", "--seeds", "1", "--jobs", "1",
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-mac: error: unknown rate profile")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestStoreFlagAndGateSubcommand:
@@ -510,6 +710,13 @@ class TestOneLineErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("repro-mac: error: no telemetry stream")
+
+    def test_experiment_user_error(self, capsys):
+        code = main(["figure6a", "--seeds", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-mac: error:")
+        assert "Traceback" not in err
 
 
 class TestServeWorkSubcommands:
