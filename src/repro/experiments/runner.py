@@ -223,7 +223,7 @@ def run_raw(
     mac_profile = None
     if profiler is not None:
         mac_profile = dict(profiler.finish(timer.timings.get("simulate")))
-    return RawRun(
+    raw = RawRun(
         requests,
         net.channel.stats,
         net.average_degree(),
@@ -233,6 +233,8 @@ def run_raw(
         timings=timer.timings,
         mac_profile=mac_profile,
     )
+    net.close()
+    return raw
 
 
 def run_once(scenario: Scenario) -> RunMetrics:

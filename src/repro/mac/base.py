@@ -197,7 +197,7 @@ class MacBase:
         #: and its end; suppresses answering other stations' polls.
         self._busy_sender = False
 
-        self.radio.add_listener(self._on_frame)
+        self.radio.add_listener(self._on_frame, bystander=self._yield_to)
         self.process = env.process(self._main_loop(), name=f"mac-{node_id}")
 
     # -- neighbor / topology helpers --------------------------------------------
@@ -424,15 +424,6 @@ class MacBase:
 
     # -- receiver side -------------------------------------------------------------------
 
-    @staticmethod
-    def _exchange_owner(frame: Frame) -> int:
-        """The station that initiated the exchange this frame belongs to:
-        the transmitter for RTS/DATA/RAK/NAK, the *addressee* for the
-        responses (CTS/ACK)."""
-        if frame.ftype in (FrameType.CTS, FrameType.ACK):
-            return frame.ra
-        return frame.src
-
     def _on_frame(self, frame: Frame, clean: bool) -> None:
         if frame.ftype is FrameType.DATA:
             # A station records a DATA frame when it is the addressee *or*
@@ -464,10 +455,22 @@ class MacBase:
             # CTS/ACK addressed to us outside a sender procedure: stale.
             return
 
-        # Control frame not intended for us: yield for its Duration
-        # (Figure 3, last receiver rule).
+        self._yield_to(frame)
+
+    def _yield_to(self, frame: Frame) -> None:
+        """Control frame not intended for us: yield for its Duration
+        (Figure 3, last receiver rule).  The channel calls this directly
+        for such frames while :meth:`_on_frame` is the radio's only
+        listener, so a subclass changes the rule here, not in
+        :meth:`_on_frame`.
+
+        The NAV's owner is the station that initiated the frame's
+        exchange: the transmitter of an RTS/RAK/NAK, the *addressee* of a
+        response (CTS/ACK)."""
         if frame.duration > 0 and not self._busy_sender:
-            self.nav.set(frame.duration, owner=self._exchange_owner(frame))
+            ftype = frame.ftype
+            response = ftype is FrameType.CTS or ftype is FrameType.ACK
+            self.nav.set(frame.duration, owner=frame.ra if response else frame.src)
 
     # Receiver hooks ----------------------------------------------------------
 

@@ -47,10 +47,13 @@ class Nav:
         """Yield for *duration* slots from now (never shortens the NAV)."""
         if duration < 0:
             raise ValueError(f"negative NAV duration {duration}")
-        expiry = self.env.now + duration
-        if not self.active or expiry >= self.until:
+        now = self.env.now
+        expiry = now + duration
+        until = self.until
+        if until <= now or expiry >= until:
             self.owner = owner
-        self.until = max(self.until, expiry)
+        if expiry > until:
+            self.until = expiry
         obs = self._obs
         if obs.active:
             obs.emit(

@@ -37,7 +37,7 @@ from repro.obs.counters import Counters
 from repro.phy.capture import CaptureModel, NoCapture
 from repro.phy.profile import PhyProfile
 from repro.phy.propagation import UnitDiskPropagation
-from repro.sim.frames import Frame, FrameType
+from repro.sim.frames import GROUP_ADDR, Frame, FrameType
 from repro.sim.kernel import Environment, Event, PRIORITY_DELIVERY
 from repro.sim.radio import Radio
 
@@ -56,20 +56,28 @@ PRUNE_MIN_LEN = 8
 _INF = float("inf")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Transmission:
-    """One frame in flight."""
+    """One frame in flight.
+
+    Compared by identity: each instance is one event on the air, and the
+    reception check ``tx in overlaps`` must not compare field by field.
+    """
 
     frame: Frame
     sender: int
     start: float
     end: float
-    #: Counter key cached once per transmission instead of being chased
-    #: through frame.ftype at every receiver (the reception hot path).
+    #: Counter key and DATA flag cached once per transmission instead of
+    #: being chased through frame.ftype at every receiver (the reception
+    #: hot path).
     dkey: str = field(init=False, repr=False, compare=False)
+    is_data: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.dkey = self.frame.ftype.delivered_key
+        ftype = self.frame.ftype
+        self.dkey = ftype.delivered_key
+        self.is_data = ftype is FrameType.DATA
 
     def overlaps(self, other: "Transmission") -> bool:
         return self.start < other.end and other.start < self.end
@@ -96,11 +104,11 @@ class ChannelStats:
     """Ground-truth delivery bookkeeping for metrics and theorem checks.
 
     Loss outcomes (collisions, captures, frame errors, half-duplex and
-    rate losses) are counted once, in :attr:`Channel.counters`.
+    rate losses) and deliveries are counted once, in
+    :attr:`Channel.counters`.
     """
 
     frames_sent: dict[FrameType, int] = field(default_factory=dict)
-    frames_delivered: dict[FrameType, int] = field(default_factory=dict)
     #: msg_id -> every station that decoded the DATA frame (any retry,
     #: capture included; bystanders overhearing it count too -- intersect
     #: with the request's intended set when scoring).
@@ -112,8 +120,8 @@ class ChannelStats:
         self.frames_sent[frame.ftype] = self.frames_sent.get(frame.ftype, 0) + 1
 
     def note_delivered(self, frame: Frame, receiver: int, clean: bool) -> None:
-        self.frames_delivered[frame.ftype] = self.frames_delivered.get(frame.ftype, 0) + 1
-        if frame.ftype is FrameType.DATA and frame.msg_id is not None:
+        """Record that *receiver* decoded the DATA frame *frame*."""
+        if frame.msg_id is not None:
             self.data_receipts.setdefault(frame.msg_id, set()).add(receiver)
             if clean:
                 self.clean_data_receipts.setdefault(frame.msg_id, set()).add(receiver)
@@ -164,7 +172,9 @@ class Channel:
         self.frame_error_rate = frame_error_rate
         self.phy = phy if phy is not None else PhyProfile()
         self.rng = rng if rng is not None else random.Random(0)
-        self.radios: dict[int, Radio] = {}
+        #: Radio per node id (``None`` until :meth:`attach`), a list so
+        #: the per-receiver loops index it directly.
+        self.radios: list[Radio | None] = [None] * propagation.n_nodes
         self.stats = ChannelStats()
         #: Always-on per-run/per-node counters (see repro.obs.counters);
         #: MAC layers increment this through ``mac.channel.counters``.
@@ -204,7 +214,7 @@ class Channel:
         """Create (or return) the radio for *node_id*."""
         if not 0 <= node_id < self.propagation.n_nodes:
             raise ValueError(f"node id {node_id} outside topology")
-        if node_id not in self.radios:
+        if self.radios[node_id] is None:
             radio = Radio(self, node_id)
             # The radio's slice of the per-node counters, cached (and its
             # frame keys pre-seeded) so the per-frame hot paths below are
@@ -234,20 +244,22 @@ class Channel:
         return self.propagation.positions
 
     def finalize_counters(self) -> Counters:
-        """Fold the frame totals from ``stats`` into ``counters.total``.
+        """Fill the run-wide frame totals in ``counters.total``.
 
         The per-frame hot paths only maintain per-node attribution (one
-        dict increment each); the run-wide ``frames_sent.*`` /
-        ``frames_delivered.*`` totals are identical to what ``stats``
-        already tracks, so they are copied here instead of being counted
-        twice per frame.  Idempotent; :class:`~repro.sim.network.Network`
-        calls it after every ``run()``, so code reading
-        ``channel.counters`` after a simulation sees complete totals.
+        dict increment each).  The ``frames_sent.*`` totals are copied
+        from ``stats``; the ``frames_delivered.*`` totals are the sums of
+        the per-node counts.  Idempotent;
+        :class:`~repro.sim.network.Network` calls it after every
+        ``run()``, so code reading ``channel.counters`` after a
+        simulation sees complete totals.
         """
         total = self.counters.total
+        per_node = self.counters.per_node.values()
         for ft in FrameType:
+            key = ft.delivered_key
             total[ft.sent_key] = self.stats.frames_sent.get(ft, 0)
-            total[ft.delivered_key] = self.stats.frames_delivered.get(ft, 0)
+            total[key] = sum(counts.get(key, 0) for counts in per_node)
         return self.counters
 
     # -- transmission ----------------------------------------------------------
@@ -313,6 +325,7 @@ class Channel:
         if len(own) >= PRUNE_MIN_LEN and radio.own_min_end <= horizon:
             radio.own_min_end = _compact(own, horizon)
         own.append(tx)
+        radio.own_until = end
         if end < radio.own_min_end:
             radio.own_min_end = end
         if end > radio.busy_until:
@@ -323,7 +336,7 @@ class Channel:
         # transmission radius.  They coincide in the paper's model.
         radios = self.radios
         for nid in self.propagation.interferer_lists[radio.node_id]:
-            r = radios.get(nid)
+            r = radios[nid]
             if r is None:
                 continue
             audible = r.audible
@@ -371,7 +384,7 @@ class Channel:
         radios = self.radios
         receive_at = self._receive_at
         for nid in self.propagation.neighbor_lists[tx.sender]:
-            radio = radios.get(nid)
+            radio = radios[nid]
             if radio is not None:
                 receive_at(radio, tx)
         # Retire the frame from the in-flight airtime multiset so the
@@ -394,7 +407,10 @@ class Channel:
 
     def _note(self, radio: Radio, tx: Transmission, key: str, etype: str, **extra) -> None:
         """Count one reception outcome at *radio* and emit its event."""
-        self.counters.inc(key, node=radio.node_id)
+        total = self.counters.total
+        total[key] = total.get(key, 0) + 1
+        counts = radio._counts
+        counts[key] = counts.get(key, 0) + 1
         obs = self._obs
         if obs.active:
             obs.emit(
@@ -417,11 +433,14 @@ class Channel:
             return
         tx_start = tx.start
         tx_end = tx.end
-        # Half-duplex: receiving while transmitting is impossible.
-        for own in radio.own_tx:
-            if own.start < tx_end and tx_start < own.end:
-                self._note(radio, tx, "half_duplex_losses", "half_duplex_loss")
-                return
+        # Half-duplex: receiving while transmitting is impossible.  Every
+        # own frame ends by ``own_until``, so only a radio that was on the
+        # air after tx started needs the scan.
+        if radio.own_until > tx_start:
+            for own in radio.own_tx:
+                if own.start < tx_end and tx_start < own.end:
+                    self._note(radio, tx, "half_duplex_losses", "half_duplex_loss")
+                    return
 
         # Rate gate: a frame at MCS m > 0 carries more bits per slot than
         # this link's SNR sustains -- the receiver hears energy it cannot
@@ -481,18 +500,32 @@ class Channel:
             self._note(radio, tx, "faults.burst_losses", "fault_burst_loss")
             return
 
-        self.stats.note_delivered(tx.frame, radio.node_id, clean)
-        # Totals derived from ``stats`` in finalize_counters(); see transmit().
+        frame = tx.frame
+        is_data = tx.is_data
+        if is_data:
+            self.stats.note_delivered(frame, radio.node_id, clean)
+        # The one delivered tally: totals are summed in finalize_counters().
         radio._counts[tx.dkey] += 1
         if obs.active:
             obs.emit(
                 "frame_rx",
                 node=radio.node_id,
-                uid=tx.frame.uid,
-                ftype=tx.frame.ftype.value,
+                uid=frame.uid,
+                ftype=frame.ftype.value,
                 src=tx.sender,
-                seq=tx.frame.seq,
-                msg_id=tx.frame.msg_id,
+                seq=frame.seq,
+                msg_id=frame.msg_id,
                 clean=clean,
             )
-        radio._deliver(tx.frame, clean)
+        # A bystander's control frame only sets its NAV (Figure 3's last
+        # receiver rule): while the MAC is the radio's only listener, hand
+        # the frame to that rule directly instead of the generic fan-out.
+        yield_to = radio.yield_to
+        if yield_to is not None and not is_data:
+            nid = radio.node_id
+            ra = frame.ra
+            # ``not frame.addressed_to(nid)``, inlined on the hottest path.
+            if ra != nid and (ra != GROUP_ADDR or nid not in frame.group):
+                yield_to(frame)
+                return
+        radio._deliver(frame, clean)

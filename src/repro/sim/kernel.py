@@ -249,6 +249,13 @@ class Process(Event):
         """True while the generator has not exited."""
         return not self.triggered
 
+    def close(self) -> None:
+        """Close the generator where it is suspended and forget the event
+        it waits on; the process is never resumed again (a finished run
+        releasing its state)."""
+        self._generator.close()
+        self._target = None
+
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
@@ -569,6 +576,18 @@ class Environment:
     def process(self, generator: Generator, name: str | None = None) -> Process:
         """Start *generator* as a :class:`Process`."""
         return Process(self, generator, name)
+
+    def clear(self) -> None:
+        """Drop every pending event, pooled timeout and commit horizon.
+
+        The clock stays where it is.  A finished run calls this (through
+        :meth:`repro.sim.network.Network.close`) so the processes and
+        callbacks those events hold are freed by reference counting.
+        """
+        self._queue.clear()
+        self._sample_queue.clear()
+        self._timeout_pool.clear()
+        self._horizons.clear()
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -161,6 +161,26 @@ class Network:
         self.env.run(until=until)
         self.channel.finalize_counters()
 
+    def close(self) -> None:
+        """Release a finished run to reference counting.
+
+        Pending events, radio listeners and suspended MAC generators tie
+        the environment, radios and MACs into reference cycles that only
+        a full garbage collection frees (about 1.9 MB at 140 nodes).
+        This drops the events, detaches the listeners and closes the
+        generators.  The network cannot run afterwards;
+        ``channel.stats`` and ``channel.counters`` stay readable.
+        """
+        self.env.clear()
+        for radio in self.channel.radios:
+            if radio is not None:
+                radio.clear_listeners()
+        self.channel.radios.clear()
+        for mac in self.macs:
+            mac.process.close()
+        for service in self.beacon_services:
+            service.process.close()
+
     def all_requests(self):
         """Every finished request across all nodes (for metrics)."""
         out = []

@@ -6,7 +6,10 @@ A :class:`Radio` is the MAC layer's window onto the shared channel:
   every transmission currently audible at this node, *including the node's
   own* (a transmitting station trivially senses a busy medium);
 * **reception** -- frames the channel decides this node received are pushed
-  to registered listeners, synchronously at the slot the frame ends;
+  to registered listeners, synchronously at the slot the frame ends (a
+  control frame that does not address this node goes straight to the
+  owning MAC's :attr:`yield_to` handler while that MAC is the only
+  listener);
 * **transmission** -- :meth:`Radio.transmit` hands a frame to the channel
   and returns an event that fires when the airtime has elapsed.
 
@@ -30,6 +33,9 @@ __all__ = ["Radio"]
 #: Listener signature: ``(frame, clean)`` where *clean* is the ground-truth
 #: "received without collision" flag of Theorems 1/3.
 FrameListener = Callable[[Frame, bool], None]
+#: Bystander signature: ``(frame)`` for a decoded control frame that does
+#: not address this node (Figure 3's last receiver rule).
+BystanderHandler = Callable[[Frame], None]
 
 
 class Radio:
@@ -46,12 +52,25 @@ class Radio:
         self.audible: list["Transmission"] = []
         #: This node's own transmissions (for half-duplex reception checks).
         self.own_tx: list["Transmission"] = []
+        #: End time of this node's latest own transmission.  Own frames
+        #: never overlap (the channel refuses a transmit while one is in
+        #: flight), so the radio is transmitting exactly while this lies
+        #: in the future.
+        self.own_until: float = channel.env.now
         #: Earliest end time in ``own_tx`` / ``audible`` -- the channel's
         #: prune watermarks: a compaction pass can only remove something
         #: when the watermark has fallen behind the prune horizon.
         self.own_min_end: float = float("inf")
         self.audible_min_end: float = float("inf")
         self._listeners: list[FrameListener] = []
+        #: ``(listener, handler)`` registered through
+        #: ``add_listener(..., bystander=handler)``.
+        self._bystander: tuple[FrameListener, BystanderHandler] | None = None
+        #: The bystander handler while its listener is the only one
+        #: attached, else ``None``: the channel then hands a control frame
+        #: not addressed to this node to it directly (see
+        #: :meth:`Channel._receive_at`) instead of to :meth:`_deliver`.
+        self.yield_to: BystanderHandler | None = None
 
     # -- carrier sense -------------------------------------------------------
 
@@ -62,16 +81,41 @@ class Radio:
 
     @property
     def is_transmitting(self) -> bool:
-        now = self.env.now
-        return any(t.start <= now < t.end for t in self.own_tx)
+        return self.own_until > self.env.now
 
     # -- reception -----------------------------------------------------------
 
-    def add_listener(self, listener: FrameListener) -> None:
+    def add_listener(
+        self, listener: FrameListener, bystander: "BystanderHandler | None" = None
+    ) -> None:
+        """Register *listener* for every frame this node decodes.
+
+        *bystander*, if given, must act exactly as *listener* does on a
+        control frame that does not address this node; the channel calls
+        it in place of the generic dispatch while *listener* is alone.
+        """
         self._listeners.append(listener)
+        if bystander is not None:
+            self._bystander = (listener, bystander)
+        self._update_yield_to()
 
     def remove_listener(self, listener: FrameListener) -> None:
         self._listeners.remove(listener)
+        if self._bystander is not None and self._bystander[0] == listener:
+            self._bystander = None
+        self._update_yield_to()
+
+    def clear_listeners(self) -> None:
+        """Detach every listener (a finished run releasing its MACs)."""
+        self._listeners.clear()
+        self._bystander = None
+        self.yield_to = None
+
+    def _update_yield_to(self) -> None:
+        pair = self._bystander
+        listeners = self._listeners
+        sole = pair is not None and len(listeners) == 1 and listeners[0] == pair[0]
+        self.yield_to = pair[1] if sole else None
 
     def _deliver(self, frame: Frame, clean: bool) -> None:
         """Called by the channel when this node successfully receives."""
@@ -101,22 +145,37 @@ class Radio:
         whose reception completes exactly at the deadline still wins.
         """
         env = self.env
-        result = env.event()
-        timer = env.timeout(timeout)
-
-        def on_frame(frame: Frame, clean: bool) -> None:
-            if not result.triggered and predicate(frame):
-                self.remove_listener(on_frame)
-                result.succeed(frame, priority=PRIORITY_DELIVERY)
-
-        def on_timer(_ev: Event) -> None:
-            if not result.triggered:
-                self.remove_listener(on_frame)
-                result.succeed(None)
-
-        self.add_listener(on_frame)
-        timer.callbacks.append(on_timer)
-        return result
+        waiter = _Expectation(self, predicate, env.event())
+        self.add_listener(waiter.on_frame)
+        env.timeout(timeout).callbacks.append(waiter.on_timer)
+        return waiter.result
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<Radio node={self.node_id} busy_until={self.busy_until}>"
+
+
+class _Expectation:
+    """The listener and timer callback behind :meth:`Radio.expect`.
+
+    Bound methods of a plain object, not closures: a closure that removes
+    itself holds a reference to itself, so every expectation would be a
+    reference cycle left for the garbage collector.
+    """
+
+    __slots__ = ("radio", "predicate", "result")
+
+    def __init__(self, radio: Radio, predicate: Callable[[Frame], bool], result: Event):
+        self.radio = radio
+        self.predicate = predicate
+        self.result = result
+
+    def on_frame(self, frame: Frame, clean: bool) -> None:
+        result = self.result
+        if not result.triggered and self.predicate(frame):
+            self.radio.remove_listener(self.on_frame)
+            result.succeed(frame, priority=PRIORITY_DELIVERY)
+
+    def on_timer(self, _ev: Event) -> None:
+        if not self.result.triggered:
+            self.radio.remove_listener(self.on_frame)
+            self.result.succeed(None)

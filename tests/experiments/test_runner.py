@@ -1,5 +1,7 @@
 """Tests for the experiment runner (small, fast settings)."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -18,6 +20,31 @@ class TestRunRaw:
         raw = run_raw(BmmmMac, SMALL, seed=0)
         assert raw.requests
         assert raw.average_degree > 0
+
+    def test_finished_network_is_freed_by_refcount(self, monkeypatch):
+        """run_raw closes its network: with the cycle collector off, the
+        network, channel, MACs and radios are gone once it returns."""
+        import repro.experiments.runner as runner
+
+        refs = []
+        build = runner.build_network
+
+        def spy(*args, **kwargs):
+            net = build(*args, **kwargs)
+            mac = net.macs[0]
+            refs.extend(weakref.ref(o) for o in (net, net.channel, mac, mac.radio, mac.nav))
+            return net
+
+        monkeypatch.setattr(runner, "build_network", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            raw = run_raw(BmmmMac, SMALL, seed=0)
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+        # What the run returns stays readable.
+        assert raw.stats.data_receipts and raw.counters.total["frames_sent.DATA"] > 0
         m = raw.metrics()
         assert m.n_requests > 0
 

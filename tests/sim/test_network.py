@@ -9,10 +9,22 @@ from repro.mac.contention import ContentionParams
 from repro.protocols.plain import PlainMulticastMac
 from repro.sim.network import Network
 
-from tests.conftest import star_positions
+from tests.conftest import make_star, star_positions
 
 
 class TestNetwork:
+    def test_close_releases_the_run(self):
+        net = make_star(BmmmMac, n_receivers=3)
+        net.mac(0).submit(MessageKind.MULTICAST, frozenset({1, 2, 3}))
+        net.run(until=4)  # mid-exchange: events pending, listeners attached
+        totals = dict(net.channel.finalize_counters().total)
+        net.close()
+        assert net.env.peek() == float("inf")
+        assert net.channel.radios == []
+        assert all(not mac.radio._listeners and mac.radio.yield_to is None for mac in net.macs)
+        assert all(mac.process._generator.gi_frame is None for mac in net.macs)
+        assert net.channel.counters.total == totals
+
     def test_one_mac_per_node(self):
         net = Network(star_positions(3), 0.2, PlainMulticastMac, seed=0)
         assert net.n_nodes == 4
