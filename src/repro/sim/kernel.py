@@ -578,7 +578,7 @@ class Environment:
         return Process(self, generator, name)
 
     def clear(self) -> None:
-        """Drop every pending event, pooled timeout and commit horizon.
+        """Drop every pending event and pooled timeout.
 
         The clock stays where it is.  A finished run calls this (through
         :meth:`repro.sim.network.Network.close`) so the processes and
@@ -587,7 +587,6 @@ class Environment:
         self._queue.clear()
         self._sample_queue.clear()
         self._timeout_pool.clear()
-        self._horizons.clear()
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -101,8 +101,6 @@ class Radio:
 
     def remove_listener(self, listener: FrameListener) -> None:
         self._listeners.remove(listener)
-        if self._bystander is not None and self._bystander[0] == listener:
-            self._bystander = None
         self._update_yield_to()
 
     def clear_listeners(self) -> None:
